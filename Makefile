@@ -2,7 +2,8 @@
 # everything, run the test suites, then dogfood the linter on the paper's
 # grammars and the example files (expected-ambiguous inputs must exit 1,
 # expected-clean ones must exit 0).  `make ci` mirrors the GitHub workflow:
-# check plus the bench smoke run and the parallel-determinism diff.
+# check plus the bench smoke run, the parallel-determinism diff, the
+# robustness and serving gates and a short benchmark run.
 
 CLI := dune exec --no-build -- bin/ucfg_cli.exe
 BENCH := dune exec --no-build -- bench/main.exe
@@ -14,7 +15,8 @@ DET_EXPERIMENTS := e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 \
 
 .PHONY: build test lint bench smoke determinism json-determinism \
   bench-record bench-compare chaos timeout-smoke search-resume-smoke \
-  check-smoke serve-smoke serve-drain-smoke serve-chaos ci check clean
+  check-smoke serve-smoke serve-drain-smoke serve-chaos perfbench-smoke ci \
+  check clean
 
 build:
 	dune build @all
@@ -256,12 +258,19 @@ serve-chaos: build
 	diff _build/chaos/chaosdump1.txt _build/chaos/plaindump.txt
 	@echo "serve-chaos: OK"
 
+# a short research run of the repository benchmark: it builds from
+# source and exits 1 on any wrong known answer (|L_n| = 4^n - 3^n and
+# tier T2 of the factored fixpoint, tier T1 of the wide fixpoint, the
+# pinned search verdicts and node counts, and the other research gates)
+perfbench-smoke:
+	python3 perfbench/run.py --workload research --seed 1 --seconds 5 --trace 0
+
 check: build test lint check-smoke
 	@echo "check: OK"
 
 ci: check smoke determinism json-determinism bench-record bench-compare \
   chaos timeout-smoke search-resume-smoke serve-smoke serve-drain-smoke \
-  serve-chaos
+  serve-chaos perfbench-smoke
 	@echo "ci: OK"
 
 clean:

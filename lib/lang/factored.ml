@@ -5,12 +5,31 @@
    to [hi]), the sinks [Accept]/[Reject] denote {ε}/∅.  The diagram is
    quasi-reduced — every path from a root of height [h] has exactly [h]
    edges, no level skipping — so a node's height is determined by its
-   children and the key [(id lo, id hi)] identifies it completely.  One
+   children and the pair [(id lo, id hi)] identifies it completely.  One
    global mutex-guarded hash-cons table makes structurally equal nodes
    physically equal across the whole process: equality is id comparison,
    applies memoise on id pairs, and the empty/full language of each height
    is a unique node (the [nonempty]/[full] flags below are therefore exact,
    not heuristic).
+
+   Table layout.  Every table of the tier is keyed by one immediate int:
+   the unique table and the [apply] memos by a pair of ids packed as
+   [id1 lsl 31 lor id2], the single-node memos ([complement], [concat],
+   [cardinal]) and the visited sets of the walks by the id itself.  Ids
+   come from one counter starting at 2 ([0]/[1] are the sinks) and must
+   stay below 2^31, so a packed pair fits a 63-bit int without overlap;
+   [mk] raises [Failure] rather than hand out an id outside that range, so
+   two pairs can never collide.  The tables ([Itbl], [Iset]) are open
+   addressing with linear probing over power-of-two arrays of int keys
+   ([-1] marks a free slot), an integer-mixing hash, and doubling at half
+   load: no probe allocates or hashes polymorphically, and a per-call
+   table starts small and grows with the DAG it walks, never with the
+   process-wide id counter (a daemon's counter only grows).
+
+   Model counts.  A node of height [h < 62] has at most 2^h ≤ 2^61 words,
+   which fits a native int; [cardinal] sums native ints below height 62
+   and switches to [Bignum] only at the nodes of height ≥ 62, so it stays
+   exact at every height and allocates nothing per node below the switch.
 
    Jobs-invariance: numeric ids depend on construction order, but two
    structurally equal languages always resolve to the same node whatever
@@ -45,40 +64,165 @@ let view = function
   | Reject -> `Reject
   | Branch b -> `Branch (b.lo, b.hi)
 
+(* --- int-keyed tables --------------------------------------------------- *)
+
+(* ids are < 2^31, so [pack] is injective on them *)
+let id_bits = 31
+let max_id = (1 lsl id_bits) - 1
+let[@inline] pack i j = (i lsl id_bits) lor j
+
+(* fold the high half down, multiply by an odd constant, fold again *)
+let[@inline] mix k =
+  let h = (k lxor (k lsr 32)) * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+(* the slot holding [k], or the free slot where it belongs; the tables
+   below keep at least half of their slots free, so this terminates *)
+let rec probe keys mask k i =
+  let k' = Array.unsafe_get keys i in
+  if k' = k || k' < 0 then i else probe keys mask k ((i + 1) land mask)
+
+let[@inline] slot keys k =
+  let mask = Array.length keys - 1 in
+  probe keys mask k (mix k land mask)
+
+let initial_slots = 64
+
+(* a set of non-negative ints *)
+module Iset = struct
+  type t = { mutable keys : int array; mutable size : int }
+
+  let create () = { keys = Array.make initial_slots (-1); size = 0 }
+
+  let grow t =
+    let keys = Array.make (2 * Array.length t.keys) (-1) in
+    Array.iter (fun k -> if k >= 0 then keys.(slot keys k) <- k) t.keys;
+    t.keys <- keys
+
+  (* [add t k] inserts [k]; [false] when it was already present *)
+  let add t k =
+    if 2 * (t.size + 1) > Array.length t.keys then grow t;
+    let i = slot t.keys k in
+    if Array.unsafe_get t.keys i = k then false
+    else begin
+      Array.unsafe_set t.keys i k;
+      t.size <- t.size + 1;
+      true
+    end
+end
+
+(* a map from non-negative ints; [find] returns [absent] on a miss, which
+   callers compare physically, so no lookup allocates an option *)
+module Itbl = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable vals : 'a array;
+    mutable size : int;
+    absent : 'a;
+  }
+
+  let create absent =
+    { keys = Array.make initial_slots (-1);
+      vals = Array.make initial_slots absent; size = 0; absent }
+
+  let find t k =
+    let i = slot t.keys k in
+    if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i
+    else t.absent
+
+  let grow t =
+    let n = 2 * Array.length t.keys in
+    let keys = Array.make n (-1) and vals = Array.make n t.absent in
+    Array.iteri
+      (fun i k ->
+         if k >= 0 then begin
+           let j = slot keys k in
+           keys.(j) <- k;
+           vals.(j) <- t.vals.(i)
+         end)
+      t.keys;
+    t.keys <- keys;
+    t.vals <- vals
+
+  (* [add t k v] binds [k], which must be absent *)
+  let add t k v =
+    if 2 * (t.size + 1) > Array.length t.keys then grow t;
+    let i = slot t.keys k in
+    Array.unsafe_set t.keys i k;
+    Array.unsafe_set t.vals i v;
+    t.size <- t.size + 1
+end
+
+(* never stored in a diagram: the miss marker of the node tables *)
+let absent =
+  Branch
+    { id = -1; height = -1; nonempty = false; full = false; lo = Reject;
+      hi = Reject }
+
 (* The global manager.  All table access happens under [lock]; [mk] never
    recurses while holding it. *)
-let table : (int * int, node) Hashtbl.t = Hashtbl.create 4096
+let table : node Itbl.t = Itbl.create absent
 let counter = ref 2
 let lock = Mutex.create ()
 
 let mk lo hi =
-  let key = (node_id lo, node_id hi) in
+  let key = pack (node_id lo) (node_id hi) in
   Mutex.lock lock;
-  let n =
-    match Hashtbl.find_opt table key with
-    | Some n -> n
-    | None ->
-      let id = !counter in
-      incr counter;
-      let n =
-        Branch
-          {
-            id;
-            height = height lo + 1;
-            nonempty = nonempty lo || nonempty hi;
-            full = node_full lo && node_full hi;
-            lo;
-            hi;
-          }
-      in
-      Hashtbl.add table key n;
-      n
-  in
-  Mutex.unlock lock;
-  n
+  let n = Itbl.find table key in
+  if n != absent then begin
+    Mutex.unlock lock;
+    n
+  end
+  else begin
+    let id = !counter in
+    if id > max_id then begin
+      Mutex.unlock lock;
+      failwith "Factored: node id space exhausted (2^31 nodes)"
+    end;
+    counter := id + 1;
+    let n =
+      Branch
+        {
+          id;
+          height = height lo + 1;
+          nonempty = nonempty lo || nonempty hi;
+          full = node_full lo && node_full hi;
+          lo;
+          hi;
+        }
+    in
+    Itbl.add table key n;
+    Mutex.unlock lock;
+    n
+  end
 
-let rec rejects h = if h = 0 then Reject else let c = rejects (h - 1) in mk c c
-let rec accepts h = if h = 0 then Accept else let c = accepts (h - 1) in mk c c
+(* The empty and the full node of every height up to the longest asked
+   for, as two arrays indexed by height.  [apply]'s shortcuts ask for them
+   at every level, and rebuilding a chain costs [h] trips through [mk].
+   Readers take the arrays without a lock; a writer extends a copy and
+   publishes it by compare-and-set, and every copy holds the same
+   hash-consed nodes, so a lost race only repeats work. *)
+let chains = Atomic.make ([| Reject |], [| Accept |])
+
+let rec chains_to h =
+  let ((rs, acs) as c) = Atomic.get chains in
+  let n = Array.length rs in
+  if h < n then c
+  else begin
+    let rs' = Array.make (h + 1) Reject in
+    let acs' = Array.make (h + 1) Accept in
+    Array.blit rs 0 rs' 0 n;
+    Array.blit acs 0 acs' 0 n;
+    for i = n to h do
+      rs'.(i) <- mk rs'.(i - 1) rs'.(i - 1);
+      acs'.(i) <- mk acs'.(i - 1) acs'.(i - 1)
+    done;
+    ignore (Atomic.compare_and_set chains c (rs', acs'));
+    chains_to h
+  end
+
+let rejects h = (fst (chains_to h)).(h)
+let accepts h = (snd (chains_to h)).(h)
 
 let accept = Accept
 let reject = Reject
@@ -204,7 +348,7 @@ let apply ?guard op t1 t2 =
     (match op with Union -> "union" | Inter -> "inter" | Diff -> "diff")
     t1 t2;
   let g = ambient_guard guard in
-  let memo : (int * int, node) Hashtbl.t = Hashtbl.create 256 in
+  let memo = Itbl.create absent in
   let rec go n1 n2 =
     let h = height n1 in
     match op with
@@ -219,27 +363,28 @@ let apply ?guard op t1 t2 =
     | Diff when (not (nonempty n1)) || node_id n1 = node_id n2 -> rejects h
     | Diff when not (nonempty n2) -> n1
     | _ ->
-      let key = (node_id n1, node_id n2) in
-      (match Hashtbl.find_opt memo key with
-       | Some n -> n
-       | None ->
-         Guard.tick g;
-         let n =
-           match n1, n2 with
-           | (Accept | Reject), (Accept | Reject) ->
-             let x = nonempty n1 and y = nonempty n2 in
-             let z =
-               match op with
-               | Union -> x || y
-               | Inter -> x && y
-               | Diff -> x && not y
-             in
-             if z then Accept else Reject
-           | Branch b1, Branch b2 -> mk (go b1.lo b2.lo) (go b1.hi b2.hi)
-           | _ -> assert false (* equal heights *)
-         in
-         Hashtbl.add memo key n;
-         n)
+      let key = pack (node_id n1) (node_id n2) in
+      let n = Itbl.find memo key in
+      if n != absent then n
+      else begin
+        Guard.tick g;
+        let n =
+          match n1, n2 with
+          | (Accept | Reject), (Accept | Reject) ->
+            let x = nonempty n1 and y = nonempty n2 in
+            let z =
+              match op with
+              | Union -> x || y
+              | Inter -> x && y
+              | Diff -> x && not y
+            in
+            if z then Accept else Reject
+          | Branch b1, Branch b2 -> mk (go b1.lo b2.lo) (go b1.hi b2.hi)
+          | _ -> assert false (* equal heights *)
+        in
+        Itbl.add memo key n;
+        n
+      end
   in
   { len = t1.len; root = go t1.root t2.root }
 
@@ -247,42 +392,35 @@ let union ?guard t1 t2 = apply ?guard Union t1 t2
 let inter ?guard t1 t2 = apply ?guard Inter t1 t2
 let diff ?guard t1 t2 = apply ?guard Diff t1 t2
 
-let complement ?guard t =
-  let g = ambient_guard guard in
-  let memo : (int, node) Hashtbl.t = Hashtbl.create 256 in
+(* the diagram [root] with its sinks replaced: [accept] for [Accept],
+   [reject] for [Reject] (two nodes of one height), memoised per node *)
+let substitute g ~accept ~reject root =
+  let memo = Itbl.create absent in
   let rec go n =
     match n with
-    | Accept -> Reject
-    | Reject -> Accept
-    | Branch b -> (
-        match Hashtbl.find_opt memo b.id with
-        | Some n -> n
-        | None ->
-          Guard.tick g;
-          let n = mk (go b.lo) (go b.hi) in
-          Hashtbl.add memo b.id n;
-          n)
+    | Accept -> accept
+    | Reject -> reject
+    | Branch b ->
+      let m = Itbl.find memo b.id in
+      if m != absent then m
+      else begin
+        Guard.tick g;
+        let m = mk (go b.lo) (go b.hi) in
+        Itbl.add memo b.id m;
+        m
+      end
   in
-  { len = t.len; root = go t.root }
+  go root
+
+let complement ?guard t =
+  let g = ambient_guard guard in
+  { len = t.len; root = substitute g ~accept:Reject ~reject:Accept t.root }
 
 let concat ?guard t1 t2 =
   let g = ambient_guard guard in
-  let bottom = rejects t2.len in
-  let memo : (int, node) Hashtbl.t = Hashtbl.create 256 in
-  let rec go n =
-    match n with
-    | Accept -> t2.root
-    | Reject -> bottom
-    | Branch b -> (
-        match Hashtbl.find_opt memo b.id with
-        | Some n -> n
-        | None ->
-          Guard.tick g;
-          let n = mk (go b.lo) (go b.hi) in
-          Hashtbl.add memo b.id n;
-          n)
-  in
-  { len = t1.len + t2.len; root = go t1.root }
+  let reject = rejects t2.len in
+  { len = t1.len + t2.len;
+    root = substitute g ~accept:t2.root ~reject t1.root }
 
 let equal t1 t2 = t1.len = t2.len && node_id t1.root = node_id t2.root
 
@@ -294,48 +432,79 @@ let disjoint ?guard t1 t2 =
   check_same_len "disjoint" t1 t2;
   is_empty (inter ?guard t1 t2)
 
-let cardinal ?guard t =
-  let g = ambient_guard guard in
-  let memo : (int, Bignum.t) Hashtbl.t = Hashtbl.create 256 in
+(* below this height a count is at most 2^61 and fits a native int *)
+let big_height = 62
+
+(* the memoised native path sum, for nodes of height < [big_height] *)
+let native_count g =
+  let memo = Itbl.create (-1) in
   let rec go n =
     match n with
-    | Accept -> Bignum.one
-    | Reject -> Bignum.zero
-    | Branch b -> (
-        match Hashtbl.find_opt memo b.id with
-        | Some c -> c
-        | None ->
+    | Accept -> 1
+    | Reject -> 0
+    | Branch b ->
+      let c = Itbl.find memo b.id in
+      if c >= 0 then c
+      else begin
+        Guard.tick g;
+        let c =
+          if b.full then 1 lsl b.height
+          else if not b.nonempty then 0
+          else go b.lo + go b.hi
+        in
+        Itbl.add memo b.id c;
+        c
+      end
+  in
+  go
+
+let cardinal ?guard t =
+  let g = ambient_guard guard in
+  let native = native_count g in
+  if t.len < big_height then Bignum.of_int (native t.root)
+  else begin
+    (* [Bignum.minus_one] is never a count: the physical miss marker *)
+    let memo = Itbl.create Bignum.minus_one in
+    let rec go n =
+      match n with
+      | Branch b when b.height >= big_height ->
+        let c = Itbl.find memo b.id in
+        if c != Bignum.minus_one then c
+        else begin
           Guard.tick g;
           let c =
             if b.full then Bignum.two_pow b.height
             else if not b.nonempty then Bignum.zero
             else Bignum.add (go b.lo) (go b.hi)
           in
-          Hashtbl.add memo b.id c;
-          c)
-  in
-  go t.root
+          Itbl.add memo b.id c;
+          c
+        end
+      | n -> Bignum.of_int (native n)
+    in
+    go t.root
+  end
 
-let cardinal_int ?guard t = Bignum.to_int (cardinal ?guard t)
+let cardinal_int ?guard t =
+  if t.len < big_height then
+    Some (native_count (ambient_guard guard) t.root)
+  else Bignum.to_int (cardinal ?guard t)
 
 let node_count ?guard t =
   let g = ambient_guard guard in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let count = ref 0 in
+  let seen = Iset.create () in
   let rec go n =
     match n with
     | Accept | Reject -> ()
     | Branch b ->
-      if not (Hashtbl.mem seen b.id) then begin
+      if Iset.add seen b.id then begin
         Guard.tick g;
-        Hashtbl.add seen b.id ();
-        incr count;
         go b.lo;
         go b.hi
       end
   in
   go t.root;
-  !count
+  seen.size
 
 let min_word t =
   if is_empty t then None

@@ -16,7 +16,11 @@
     equal nodes, making {!equal} O(1) and every [apply]-style operation
     properly memoisable.  Node identifiers are an internal detail — their
     numeric values depend on construction order and are never observable in
-    results, which keeps the tier jobs-invariant.
+    results, which keeps the tier jobs-invariant.  Every table of the tier
+    (the manager, the per-call memos, the visited sets of the walks) is
+    keyed by one immediate int built from node ids, so lookups neither
+    allocate nor hash polymorphically; ids stay below 2{^31}, and the
+    manager raises [Failure] rather than exceed that range.
 
     All potentially long walks ({!cardinal}, {!node_count}, [apply] loops)
     poll a {!Ucfg_exec.Guard.t} (default the ambient
@@ -66,7 +70,9 @@ val of_root : int -> node -> t
 val length : t -> int
 
 (** Reachable branch nodes — the memory cost of the representation, used
-    as the [max_card] proxy where enumerated tiers use the cardinal. *)
+    as the [max_card] proxy where enumerated tiers use the cardinal.  Its
+    visited set grows with the DAG walked, not with the number of nodes
+    the process has built. *)
 val node_count : ?guard:Ucfg_exec.Guard.t -> t -> int
 
 (** {1 Construction} *)
@@ -84,10 +90,13 @@ val is_empty : t -> bool
 val is_full : t -> bool
 val mem : t -> string -> bool
 
-(** Exact model count by a memoised path sum — O(nodes), never O(2^len). *)
+(** Exact model count by a memoised path sum — O(nodes), never O(2^len).
+    The sum runs in native ints below height 62 (where a count is at most
+    2{^61}) and in {!Ucfg_util.Bignum} only at nodes of height ≥ 62. *)
 val cardinal : ?guard:Ucfg_exec.Guard.t -> t -> Ucfg_util.Bignum.t
 
-(** [cardinal_int t] is the cardinal when it fits a native [int]. *)
+(** [cardinal_int t] is the cardinal when it fits a native [int]; below
+    length 62 it never leaves native ints. *)
 val cardinal_int : ?guard:Ucfg_exec.Guard.t -> t -> int option
 
 (** Least word in lexicographic order — a single descent. *)

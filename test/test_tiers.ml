@@ -155,6 +155,227 @@ let prop_lang_dispatch =
       && Lang.equal l (Lang.factor l)
       && Lang.elements l = ws)
 
+(* --- dense T0 vs T2 ------------------------------------------------------ *)
+
+(* The sparse properties above never stress sharing or table growth: here
+   the operands are random subsets of Σ^len at density ½ (up to 2^15 words
+   at len 16) or slices of L_n, and every T2 result is checked against
+   the T0 one word for word, by its counts and witnesses, and by its node
+   count against a residual count made without the DAG. *)
+
+type operand = Dense of bool array | Slice of int | Full_ln
+
+let packed_of_operand len = function
+  | Dense bits ->
+    Packed.of_codes ~len
+      (Array.of_list
+         (List.filter (fun c -> bits.(c)) (List.init (1 lsl len) Fun.id)))
+  | Slice k -> Option.get (Lang.to_packed (Lang.pack (Ln.slice (len / 2) k)))
+  | Full_ln -> Option.get (Lang.to_packed (Lang.pack (Ln.language (len / 2))))
+
+let print_operand = function
+  | Dense bits ->
+    Printf.sprintf "dense(%d words)"
+      (Array.fold_left (fun n b -> if b then n + 1 else n) 0 bits)
+  | Slice k -> Printf.sprintf "slice %d" k
+  | Full_ln -> "L_n"
+
+let gen_operand len =
+  QCheck.Gen.(
+    let dense = map (fun bits -> Dense bits) (array_repeat (1 lsl len) bool) in
+    if len mod 2 <> 0 || len < 6 then dense
+    else
+      frequency
+        [ (3, dense); (1, map (fun k -> Slice k) (int_bound ((len / 2) - 1)));
+          (1, return Full_ln) ])
+
+(* two operands of lengths drawn from [lo_a, hi_a] and [lo_b, hi_b]; with
+   [same] the second takes the first's length *)
+let arb_dense ?(same = false) (lo_a, hi_a) (lo_b, hi_b) =
+  QCheck.make
+    ~print:(fun ((la, a), (lb, b)) ->
+        Printf.sprintf "len %d %s / len %d %s" la (print_operand a) lb
+          (print_operand b))
+    QCheck.Gen.(
+      int_range lo_a hi_a >>= fun la ->
+      (if same then return la else int_range lo_b hi_b) >>= fun lb ->
+      gen_operand la >>= fun a ->
+      gen_operand lb >>= fun b -> return ((la, a), (lb, b)))
+
+(* the nodes of a quasi-reduced diagram are its distinct residuals u⁻¹L,
+   one set per prefix length 0..len-1; code order is word order, so the
+   residual of prefix [u] at depth [d] is a contiguous run of the
+   membership bits *)
+let naive_node_count p =
+  let len = Packed.length p in
+  let bits = Bytes.make (1 lsl len) '0' in
+  Packed.iter_codes (fun c -> Bytes.set bits c '1') p;
+  let count = ref 0 in
+  for d = 0 to len - 1 do
+    let width = 1 lsl (len - d) in
+    let seen = Hashtbl.create 64 in
+    for u = 0 to (1 lsl d) - 1 do
+      Hashtbl.replace seen (Bytes.sub_string bits (u * width) width) ()
+    done;
+    count := !count + Hashtbl.length seen
+  done;
+  !count
+
+(* a T2 value against the T0 value it must denote *)
+let agrees p f =
+  let len = Packed.length p in
+  Factored.length f = len
+  && List.of_seq (Factored.words f) = List.of_seq (Packed.words p)
+  && Bignum.equal (Factored.cardinal f) (Bignum.of_int (Packed.cardinal p))
+  && Factored.cardinal_int f = Some (Packed.cardinal p)
+  && Factored.min_word f = Packed.min_word p
+  && Factored.min_absent_word f
+     = Option.map (Packed.word_of_code ~len) (Packed.first_absent_code p)
+  && Factored.node_count f = naive_node_count p
+
+let prop_dense_algebra =
+  QCheck.Test.make ~name:"T0/T2 dense: algebra, counts, witnesses, nodes"
+    ~count:25 (arb_dense ~same:true (6, 16) (6, 16))
+    (fun ((len, a), (_, b)) ->
+       let pa = packed_of_operand len a and pb = packed_of_operand len b in
+       let fa = Factored.of_packed pa and fb = Factored.of_packed pb in
+       let pu = Packed.union pa pb and fu = Factored.union fa fb in
+       let pd = Packed.diff pb pa and fd = Factored.diff fb fa in
+       (* the predicates on [a, b] and on pairs where they hold *)
+       let predicates (p1, f1) (p2, f2) =
+         Packed.equal p1 p2 = Factored.equal f1 f2
+         && Packed.subset p1 p2 = Factored.subset f1 f2
+         && Packed.disjoint p1 p2 = Factored.disjoint f1 f2
+       in
+       agrees pa fa && agrees pb fb && agrees pu fu && agrees pd fd
+       && agrees (Packed.inter pa pb) (Factored.inter fa fb)
+       && agrees (Packed.diff pa pb) (Factored.diff fa fb)
+       && agrees (Packed.complement_within pa) (Factored.complement fa)
+       && predicates (pa, fa) (pb, fb)
+       && predicates (pa, fa) (pu, fu)
+       && predicates (pa, fa) (pd, fd)
+       && predicates (pa, fa) (pa, Factored.of_packed pa))
+
+(* products up to 2^16 words, from operands of lengths 6–10 and 1–6 *)
+let prop_dense_concat =
+  QCheck.Test.make ~name:"T0/T2 dense: concat" ~count:100
+    (arb_dense (6, 10) (1, 6)) (fun ((la, a), (lb, b)) ->
+      let pa = packed_of_operand la a and pb = packed_of_operand lb b in
+      agrees (Packed.concat pa pb)
+        (Factored.concat (Factored.of_packed pa) (Factored.of_packed pb)))
+
+(* one language, three construction routes, one node *)
+let prop_dense_canonical =
+  QCheck.Test.make ~name:"T2 canonicity: of_packed = of_word_list = halves"
+    ~count:25 (arb_dense ~same:true (6, 16) (6, 16)) (fun ((len, a), _) ->
+      let p = packed_of_operand len a in
+      let ws = List.of_seq (Packed.words p) in
+      let half r = List.filteri (fun i _ -> i mod 2 = r) ws in
+      let reference = Factored.of_packed p in
+      List.for_all (Factored.equal reference)
+        [ Factored.of_word_list len ws;
+          Factored.union
+            (Factored.of_word_list len (half 0))
+            (Factored.of_word_list len (half 1)) ])
+
+(* --- the int/Bignum switch of the model count -------------------------- *)
+
+(* [cardinal] counts in native ints below height 62 and in Bignum above:
+   full languages around the switch, and products of dense pieces whose
+   inner nodes straddle it, each against 2^h or a product of independently
+   computed counts *)
+let test_cardinal_switch () =
+  List.iter
+    (fun h ->
+       let f = Factored.full h in
+       Alcotest.(check string)
+         (Printf.sprintf "|Σ^%d|" h)
+         (Bignum.to_string (Bignum.two_pow h))
+         (Bignum.to_string (Factored.cardinal f));
+       Alcotest.(check (option int))
+         (Printf.sprintf "cardinal_int Σ^%d" h)
+         (if h < 62 then Some (1 lsl h) else None)
+         (Factored.cardinal_int f))
+    [ 61; 62; 63; 64; 128 ];
+  let rng = Ucfg_util.Rng.create 62 in
+  let piece len =
+    Packed.of_codes ~len
+      (Array.of_list
+         (List.filter
+            (fun _ -> Ucfg_util.Rng.bool rng)
+            (List.init (1 lsl len) Fun.id)))
+  in
+  List.iter
+    (fun lens ->
+       let h = List.fold_left ( + ) 0 lens in
+       let pieces = List.map piece lens in
+       let f =
+         List.fold_left
+           (fun acc p -> Factored.concat acc (Factored.of_packed p))
+           (Factored.full 0) pieces
+       in
+       let expected =
+         List.fold_left
+           (fun acc p -> Bignum.mul acc (Bignum.of_int (Packed.cardinal p)))
+           Bignum.one pieces
+       in
+       let c = Factored.complement f in
+       let expected_c = Bignum.sub (Bignum.two_pow h) expected in
+       Alcotest.(check string)
+         (Printf.sprintf "product at height %d" h)
+         (Bignum.to_string expected)
+         (Bignum.to_string (Factored.cardinal f));
+       Alcotest.(check (option int))
+         (Printf.sprintf "cardinal_int of the product at height %d" h)
+         (Bignum.to_int expected) (Factored.cardinal_int f);
+       Alcotest.(check string)
+         (Printf.sprintf "complement at height %d" h)
+         (Bignum.to_string expected_c)
+         (Bignum.to_string (Factored.cardinal c));
+       Alcotest.(check (option int))
+         (Printf.sprintf "cardinal_int of the complement at height %d" h)
+         (Bignum.to_int expected_c) (Factored.cardinal_int c))
+    [ [ 12; 12; 12; 12; 13 ]; [ 12; 12; 12; 13; 13 ]; [ 13; 13; 13; 12; 12 ];
+      [ 16; 16; 16; 16 ]; [ 16; 16; 16; 16; 16; 16; 16; 16 ] ]
+
+(* --- the manager under contention -------------------------------------- *)
+
+(* Four pool domains build the same unions, complements and concats at
+   once from the same word lists, so the first insertion of every node
+   races in the unique table.  Hash-consing must still hand out one node
+   per language: each domain's results are [equal] to a sequential
+   rebuild.  The thunks only return values; all checks run here. *)
+let test_manager_concurrent () =
+  let rng = Ucfg_util.Rng.create 4242 in
+  let len = 40 in
+  let inputs =
+    List.init 6 (fun _ ->
+        List.init 300 (fun _ ->
+            String.init len (fun _ ->
+                if Ucfg_util.Rng.bool rng then 'b' else 'a')))
+  in
+  let build () =
+    let fs = List.map (Factored.of_word_list len) inputs in
+    let pairs = List.combine fs (List.tl fs @ [ List.hd fs ]) in
+    List.map (fun (a, b) -> Factored.union a b) pairs
+    @ List.map (fun (a, b) -> Factored.inter (Factored.complement a) b) pairs
+    @ List.map (fun (a, b) -> Factored.concat a (Factored.complement b)) pairs
+    @ [ List.fold_left Factored.union (Factored.empty len) fs ]
+  in
+  let per_domain =
+    with_global_jobs 4 (fun () -> Exec.run_list (List.init 8 (fun _ -> build)))
+  in
+  let expected = build () in
+  List.iteri
+    (fun d results ->
+       List.iteri
+         (fun i (r, e) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "thunk %d, result %d = sequential" d i)
+              true (Factored.equal r e))
+         (List.combine results expected))
+    per_domain
+
 (* --- the factored fixpoint ---------------------------------------------- *)
 
 (* Ln.language is enumerated (T0) up to n = 10 and symbolic (T2) beyond;
@@ -245,4 +466,14 @@ let () =
             test_guard_trips_in_cardinal;
         ] );
       ("drep", qtests [ prop_drep_export ]);
+      ( "t0-t2",
+        qtests [ prop_dense_algebra; prop_dense_concat; prop_dense_canonical ]
+      );
+      ( "manager",
+        [
+          Alcotest.test_case "cardinal across the int/Bignum switch" `Quick
+            test_cardinal_switch;
+          Alcotest.test_case "hash-consing under four domains" `Quick
+            test_manager_concurrent;
+        ] );
     ]
