@@ -2,21 +2,20 @@
 # everything, run the test suites, then dogfood the linter on the paper's
 # grammars and the example files (expected-ambiguous inputs must exit 1,
 # expected-clean ones must exit 0).  `make ci` mirrors the GitHub workflow:
-# check plus the bench smoke run, the parallel-determinism diff, the
-# robustness and serving gates and a short benchmark run.
+# check plus the bench smoke run, the reproduction checksum gate at jobs 1
+# and 4, the robustness and serving gates and a short benchmark run.
 
 CLI := dune exec --no-build -- bin/ucfg_cli.exe
 BENCH := dune exec --no-build -- bench/main.exe
 
-# experiments with fully deterministic output (e24/e25/e26/e27/timings
-# print wall-clock numbers and are excluded from the determinism diffs)
+# experiments with fully deterministic output (e32's slice counts depend
+# on scheduling, so it is run by `smoke` but not checksum-gated)
 DET_EXPERIMENTS := e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 \
   e17 e18 e19 e20 e21 e22 e23 e29 e30 e31
 
-.PHONY: build test lint bench smoke determinism json-determinism \
-  bench-record bench-compare chaos timeout-smoke search-resume-smoke \
-  check-smoke serve-smoke serve-drain-smoke serve-chaos perfbench-smoke ci \
-  check clean
+.PHONY: build test lint smoke determinism repro-check chaos timeout-smoke \
+  search-resume-smoke check-smoke serve-smoke serve-drain-smoke serve-chaos \
+  perfbench-smoke ci check clean
 
 build:
 	dune build @all
@@ -40,58 +39,29 @@ lint: build
 	@echo "-- Theorem 1(2) NFA (ambiguous: lint must exit 1)"
 	! $(CLI) lint --nfa -n 6
 
-bench:
-	dune exec bench/main.exe e24
-
 smoke: build
 	$(BENCH) --smoke
 
-# the pooled paths must print bit-identical output at any job count
+# the whole suite under a 4-domain pool (the experiments' jobs-invariance
+# is gated by repro-check)
 determinism: build
-	@mkdir -p _build/determinism
-	UCFG_JOBS=1 $(BENCH) --smoke $(DET_EXPERIMENTS) > _build/determinism/seq.out
-	UCFG_JOBS=4 $(BENCH) --smoke $(DET_EXPERIMENTS) > _build/determinism/par.out
-	diff _build/determinism/seq.out _build/determinism/par.out
 	UCFG_JOBS=4 dune runtest --force
 	@echo "determinism: OK"
 
-# the --json records must carry the same per-experiment checksums at any
-# job count (wall-clock and the jobs field are normalised away)
-json-determinism: build
-	@mkdir -p _build/determinism
-	UCFG_JOBS=1 $(BENCH) --smoke --json-out _build/determinism/seq.json \
-	  $(DET_EXPERIMENTS) > /dev/null
-	UCFG_JOBS=4 $(BENCH) --smoke --json-out _build/determinism/par.json \
-	  $(DET_EXPERIMENTS) > /dev/null
-	sed -e 's/"ms": [0-9.]*/"ms": X/' -e 's/"jobs": [0-9]*/"jobs": X/' \
-	  _build/determinism/seq.json > _build/determinism/seq.norm.json
-	sed -e 's/"ms": [0-9.]*/"ms": X/' -e 's/"jobs": [0-9]*/"jobs": X/' \
-	  _build/determinism/par.json > _build/determinism/par.norm.json
-	diff _build/determinism/seq.norm.json _build/determinism/par.norm.json
-	@echo "json-determinism: OK"
-
-# regenerate this PR's perf record under the same conditions as the
-# committed BENCH_pr8.json baseline (smoke, sequential)
-bench-record: build
-	UCFG_JOBS=1 $(BENCH) --smoke --json-out BENCH_pr9.json > /dev/null
-
-# checksum drift gate: the deterministic experiments in BENCH_pr9.json
-# must carry byte-identical output checksums to the BENCH_pr8.json
-# baseline (e33 is new in pr9: compared on e1–e23, e29–e33 asserted
-# present)
-bench-compare:
-	@mkdir -p _build/determinism
-	@for pr in pr8 pr9; do \
-	  sed -n 's/ *{ "name": "\(e[0-9]*\)", "ms": [0-9.]*, "checksum": "\([0-9a-f]*\)".*/\1 \2/p' \
-	    BENCH_$$pr.json | grep -E '^e([1-9]|1[0-9]|2[0-3]) ' | sort \
-	    > _build/determinism/$$pr.sums; \
-	done
-	diff _build/determinism/pr8.sums _build/determinism/pr9.sums
-	@for e in e29 e30 e31 e32 e33; do \
-	  grep -q "\"name\": \"$$e\"" BENCH_pr9.json || \
-	    { echo "bench-compare: $$e missing from BENCH_pr9.json"; exit 1; }; \
-	done
-	@echo "bench-compare: OK"
+# the reproduction gate: the smoke output of every deterministic
+# experiment must hash to its line of bench/checksums.txt at jobs 1 and
+# at jobs 4.  No target rewrites that file: a change that moves a
+# reproduced number edits its line by hand.
+repro-check: build
+	@mkdir -p _build/repro
+	@st=0; for j in 1 4; do \
+	  for e in $(DET_EXPERIMENTS); do \
+	    echo "$$e $$(UCFG_JOBS=$$j $(BENCH) --smoke $$e | md5sum | cut -d' ' -f1)"; \
+	  done > _build/repro/jobs$$j.txt; \
+	  diff bench/checksums.txt _build/repro/jobs$$j.txt || \
+	    { echo "repro-check: checksum drift at jobs $$j"; st=1; }; \
+	done; exit $$st
+	@echo "repro-check: OK"
 
 # the full suite must stay green under seeded fault injection: injected
 # faults are repaired deterministically by the pool's settle phase, so
@@ -268,9 +238,9 @@ perfbench-smoke:
 check: build test lint check-smoke
 	@echo "check: OK"
 
-ci: check smoke determinism json-determinism bench-record bench-compare \
-  chaos timeout-smoke search-resume-smoke serve-smoke serve-drain-smoke \
-  serve-chaos perfbench-smoke
+ci: check smoke determinism repro-check chaos timeout-smoke \
+  search-resume-smoke serve-smoke serve-drain-smoke serve-chaos \
+  perfbench-smoke
 	@echo "ci: OK"
 
 clean:

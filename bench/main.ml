@@ -1,15 +1,15 @@
-(* The reproduction harness: one section per experiment of DESIGN.md
-   (E1..E26), each regenerating the series/rows behind one quantitative
-   claim of the paper, followed by Bechamel wall-clock benchmarks of the
-   key algorithms (one Test.make per timed table).
+(* The reproduction harness: one section per experiment of DESIGN.md,
+   each regenerating the series/rows behind one quantitative claim of the
+   paper.  The output is the record: `make repro-check` gates the MD5 of
+   every deterministic experiment's text against bench/checksums.txt.
+   Timing lives in perfbench/, not here.
 
    Run with: dune exec bench/main.exe            (all experiments)
              dune exec bench/main.exe -- e7 e11  (a selection)
-             dune exec bench/main.exe -- --smoke (CI: smallest n, one
-                                                  Bechamel iteration)
-             dune exec bench/main.exe -- --jobs 4 e24  (pool size)
-             dune exec bench/main.exe -- --smoke --json  (also write
-                       per-experiment ms + checksums to BENCH_pr3.json) *)
+             dune exec bench/main.exe -- --smoke (CI: smallest n)
+             dune exec bench/main.exe -- --jobs 4 e10  (pool size)
+             dune exec bench/main.exe -- --timeout 120 e31  (per-experiment
+                                                  wall-clock guard) *)
 
 open Ucfg_word
 open Ucfg_lang
@@ -20,7 +20,7 @@ module Rng = Ucfg_util.Rng
 
 let yes b = if b then "yes" else "NO"
 
-(* --smoke: every experiment at its smallest n, one Bechamel iteration *)
+(* --smoke: every experiment at its smallest n *)
 let smoke = ref false
 let pick full small = if !smoke then small else full
 
@@ -890,366 +890,6 @@ let e23_overlap_asymmetry () =
           ])
        (pick [ 2; 3; 4; 5; 6; 7 ] [ 2; 3 ]))
 
-(* ----------------------------------------------------------------- E24 *)
-
-let e24_lint_fastpath () =
-  (* the linter's sound pre-checks vs the exhaustive count on the Appendix-A
-     grammars: the bounded tree-count probe finds a duplicated word without
-     materialising the language, so the fast path in Ambiguity.check wins by
-     a growing factor (the exhaustive path enumerates ~4^n words) *)
-  let time f =
-    let t0 = Sys.time () in
-    let rec loop i last = if i = 0 then last else loop (i - 1) (f ()) in
-    let r = loop 5 (f ()) in
-    (r, (Sys.time () -. t0) /. 6.0 *. 1e3)
-  in
-  Report.print_table
-    ~title:
-      "E24 lint fast path: Ambiguity.is_unambiguous on log_cfg n, exhaustive \
-       vs static pre-checks (ms per call, mean of 6)"
-    ~headers:[ "n"; "exhaustive ms"; "fast ms"; "speedup"; "agree" ]
-    (List.map
-       (fun n ->
-          let g = Constructions.log_cfg n in
-          let slow, slow_ms = time (fun () -> Ambiguity.is_unambiguous ~fast:false g) in
-          let fast, fast_ms = time (fun () -> Ambiguity.is_unambiguous g) in
-          [
-            string_of_int n;
-            Printf.sprintf "%.2f" slow_ms;
-            Printf.sprintf "%.2f" fast_ms;
-            Printf.sprintf "%.1fx" (slow_ms /. Float.max fast_ms 1e-6);
-            string_of_bool (slow = fast);
-          ])
-       (* sequential on purpose: each row times its own calls *)
-       (pick [ 4; 5; 6; 7; 8 ] [ 4 ]));
-  (* beyond n=8 the exhaustive count is out of reach (4^n - 3^n words); the
-     static verdict still answers in milliseconds *)
-  let t0 = Sys.time () in
-  let v = Ucfg_lint.Grammar_lint.verdict
-      (Ucfg_lint.Grammar_lint.run (Constructions.log_cfg 16))
-  in
-  Printf.printf
-    "log_cfg 16 (|L_16| = %s words): lint verdict %s in %.2f ms\n"
-    (Bignum.to_string (Ln.cardinal 16))
-    (match v with
-     | `Ambiguous -> "ambiguous"
-     | `Unambiguous -> "unambiguous"
-     | `Unknown -> "unknown")
-    ((Sys.time () -. t0) *. 1e3)
-
-(* ----------------------------------------------------------------- E25 *)
-
-let e25_parallel_speedup () =
-  (* wall-clock comparison of the pooled hot paths at jobs=1 vs jobs=4 —
-     Unix.gettimeofday because Sys.time sums CPU time across domains; the
-     results must be identical on both paths, the speedup tracks the
-     machine's core count (1.0x on a single-core container) *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let saved = Ucfg_exec.Exec.jobs () in
-  let run jobs f =
-    Ucfg_exec.Exec.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Ucfg_exec.Exec.set_jobs saved)
-      (fun () -> wall f)
-  in
-  let n_lang = pick 8 5 and n_amb = pick 7 5 in
-  let cases =
-    [
-      (Printf.sprintf "L_%d materialisation (Analysis.language)" n_lang,
-       fun () ->
-         string_of_int
-           (Lang.cardinal (Analysis.language_exn (Constructions.log_cfg n_lang))));
-      (Printf.sprintf "exhaustive ambiguity profile (log_cfg %d)" n_amb,
-       fun () ->
-         let p = Ambiguity.profile (Constructions.log_cfg n_amb) in
-         Printf.sprintf "%d ambiguous of %d, max %s"
-           p.Ambiguity.ambiguous_words p.Ambiguity.word_total
-           (Bignum.to_string p.Ambiguity.max_trees));
-      ("minimal unambiguous CNF search (L_1)",
-       fun () ->
-         let r =
-           Search.minimal_cnf_size ~unambiguous:true Alphabet.binary
-             (Ln.language 1)
-         in
-         Printf.sprintf "size %s, %d nodes"
-           (match r.Search.minimal_size with
-            | Some s -> string_of_int s
-            | None -> "?")
-           r.Search.nodes_explored);
-    ]
-  in
-  Report.print_table
-    ~title:
-      "E25 (execution layer): wall-clock of the pooled hot paths, jobs=1 vs \
-       jobs=4 — bit-identical results required at every job count"
-    ~headers:[ "hot path"; "jobs=1 ms"; "jobs=4 ms"; "speedup"; "identical" ]
-    (List.map
-       (fun (name, f) ->
-          ignore (f ());
-          (* warmup: first call pays allocation/GC ramp-up *)
-          let r1, t1 = run 1 f in
-          let r4, t4 = run 4 f in
-          [
-            name;
-            Printf.sprintf "%.1f" t1;
-            Printf.sprintf "%.1f" t4;
-            Printf.sprintf "%.2fx" (t1 /. Float.max t4 1e-6);
-            yes (String.equal r1 r4);
-          ])
-       cases);
-  Printf.printf "Domain.recommended_domain_count on this machine: %d\n\n"
-    (Domain.recommended_domain_count ())
-
-(* ----------------------------------------------------------------- E26 *)
-
-let e26_packed_speedup () =
-  (* wall-clock of the PR 3 hot paths, measured against the pre-packed
-     baselines that still live in this binary: [Analysis.language
-     ~packed:false] runs the set-backed fixpoint, and [Count_word.trees]
-     without a shared plan re-trims per word.  Verdicts/counts must agree
-     exactly on both paths. *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let row name before after =
-    ignore (before ());
-    ignore (after ());
-    (* warmup: first calls pay allocation/GC ramp-up *)
-    let rb, tb = wall before in
-    let ra, ta = wall after in
-    [
-      name;
-      Printf.sprintf "%.1f" tb;
-      Printf.sprintf "%.1f" ta;
-      Printf.sprintf "%.1fx" (tb /. Float.max ta 1e-6);
-      yes (String.equal rb ra);
-    ]
-  in
-  let exactness_rows =
-    List.map
-      (fun n ->
-         let g = Constructions.log_cfg n in
-         let check packed () =
-           let reference =
-             if packed then Ln.language n else Lang.unpack (Ln.language n)
-           in
-           yes (Lang.equal reference (Analysis.language_exn ~packed g))
-         in
-         row
-           (Printf.sprintf "exactness L(log_cfg %d) = L_%d" n n)
-           (check false) (check true))
-      (pick [ 7; 8; 9 ] [ 4 ])
-  in
-  let profile_rows =
-    List.map
-      (fun n ->
-         let g = Constructions.log_cfg n in
-         let words = Lang.elements (Analysis.language_exn g) in
-         let per_word () =
-           (* one plan per word: trim + finiteness check every time, as
-              before PR 3 *)
-           Bignum.to_string
-             (List.fold_left
-                (fun acc w -> Bignum.add acc (Count_word.trees g w))
-                Bignum.zero words)
-         in
-         let shared_plan () =
-           let p = Count_word.plan g in
-           Bignum.to_string
-             (List.fold_left
-                (fun acc w -> Bignum.add acc (Count_word.trees_with p w))
-                Bignum.zero words)
-         in
-         row
-           (Printf.sprintf "tree totals over L(log_cfg %d), %d words" n
-              (List.length words))
-           per_word shared_plan)
-      (pick [ 5; 6 ] [ 4 ])
-  in
-  Report.print_table
-    ~title:
-      "E26 (packed backend & indexed kernels): wall-clock of the language \
-       and counting hot paths, set/per-word baseline vs packed/shared-plan \
-       — identical verdicts required"
-    ~headers:[ "hot path"; "baseline ms"; "packed ms"; "speedup"; "identical" ]
-    (exactness_rows @ profile_rows)
-
-(* ----------------------------------------------------------------- E27 *)
-
-let e27_bitset_kernel () =
-  (* wall-clock of this PR's hot paths against the enumeration baselines
-     still reachable in this binary: [Cover.verify ~packed:false] and
-     [greedy_disjoint_cover ~packed:false] materialise string sets,
-     [Discrepancy.of_rectangle_enumerated] walks the [S × T] product,
-     [Matrix.of_predicate] probes membership label string by label string,
-     and the per-word shared-plan CYK is what [Ambiguity.profile] ran
-     before the census sweep.  Outputs must agree exactly on both paths. *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let row name before after =
-    ignore (before ());
-    ignore (after ());
-    let rb, tb = wall before in
-    let ra, ta = wall after in
-    [
-      name;
-      Printf.sprintf "%.1f" tb;
-      Printf.sprintf "%.1f" ta;
-      Printf.sprintf "%.1fx" (tb /. Float.max ta 1e-6);
-      yes (String.equal rb ra);
-    ]
-  in
-  let verify_rows =
-    List.map
-      (fun n ->
-         let l = Ln.language n in
-         let rects = Ucfg_rect.Cover.example8_cover n in
-         let check packed () =
-           let v = Ucfg_rect.Cover.verify ~packed rects l in
-           Printf.sprintf "cover=%b disjoint=%b union=%d sum=%d"
-             v.Ucfg_rect.Cover.is_cover v.Ucfg_rect.Cover.is_disjoint
-             v.Ucfg_rect.Cover.union_cardinal v.Ucfg_rect.Cover.sum_cardinals
-         in
-         row
-           (Printf.sprintf "Cover.verify (E8 cover of L_%d)" n)
-           (check false) (check true))
-      (pick [ 7; 8 ] [ 4 ])
-  in
-  let greedy_rows =
-    List.map
-      (fun n ->
-         let l = Ln.language n in
-         let run packed () =
-           string_of_int
-             (List.length (Ucfg_rect.Cover.greedy_disjoint_cover ~packed l ~n))
-         in
-         row
-           (Printf.sprintf "greedy_disjoint_cover L_%d" n)
-           (run false) (run true))
-      (pick [ 5; 6 ] [ 3 ])
-  in
-  let profile_rows =
-    List.map
-      (fun n ->
-         let g = Constructions.log_cfg n in
-         let show (total, amb, max_trees, hist) =
-           Printf.sprintf "words=%d ambiguous=%d max=%s [%s]" total amb
-             max_trees
-             (String.concat "; "
-                (List.map (fun (k, c) -> Printf.sprintf "%s:%d" k c) hist))
-         in
-         let per_word () =
-           (* per-word CYK over a shared plan: the pre-census profile *)
-           let words = Lang.elements (Analysis.language_exn g) in
-           let plan = Count_word.plan g in
-           let counts = List.map (Count_word.trees_with plan) words in
-           let tbl = Hashtbl.create 16 in
-           let amb = ref 0 and max_trees = ref Bignum.zero in
-           List.iter
-             (fun c ->
-                if Bignum.compare c Bignum.one > 0 then incr amb;
-                if Bignum.compare c !max_trees > 0 then max_trees := c;
-                let k = Bignum.to_string c in
-                Hashtbl.replace tbl k
-                  (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0))
-             counts;
-           let hist =
-             List.sort
-               (fun (a, _) (b, _) ->
-                  compare (String.length a, a) (String.length b, b))
-               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-           in
-           show
-             ( List.length words,
-               !amb,
-               Bignum.to_string !max_trees,
-               hist )
-         in
-         let census () =
-           let p = Ambiguity.profile g in
-           show
-             ( p.Ambiguity.word_total,
-               p.Ambiguity.ambiguous_words,
-               Bignum.to_string p.Ambiguity.max_trees,
-               p.Ambiguity.histogram )
-         in
-         row
-           (Printf.sprintf "ambiguity profile (log_cfg %d)" n)
-           per_word census)
-      (pick [ 5; 6 ] [ 4 ])
-  in
-  let disc_rows =
-    List.map
-      (fun m ->
-         let blocks = Ucfg_disc.Blocks.create (4 * m) in
-         let t = Ucfg_disc.Discrepancy.tight_example blocks in
-         row
-           (Printf.sprintf "discrepancy tight rectangle m=%d" m)
-           (fun () ->
-              string_of_int
-                (Ucfg_disc.Discrepancy.of_rectangle_enumerated blocks t))
-           (fun () ->
-              string_of_int (Ucfg_disc.Discrepancy.of_rectangle blocks t)))
-      (pick [ 3; 4 ] [ 2 ])
-  in
-  let matrix_rows =
-    List.map
-      (fun n ->
-         let l = Ln.language n in
-         let by_labels () =
-           let row_w =
-             Array.of_seq (Word.enumerate Alphabet.binary n)
-           in
-           let col_w = row_w in
-           let m =
-             Ucfg_comm.Matrix.of_predicate ~rows:(Array.length row_w)
-               ~cols:(Array.length col_w) (fun r c ->
-                 Lang.mem (row_w.(r) ^ col_w.(c)) l)
-           in
-           string_of_int (Ucfg_comm.Rank.gf2 m)
-         in
-         let by_codes () =
-           let m = Ucfg_comm.Matrix.of_language Alphabet.binary l ~split:n in
-           string_of_int (Ucfg_comm.Rank.gf2 m)
-         in
-         row
-           (Printf.sprintf "M(L_%d) build + GF(2) rank" n)
-           by_labels by_codes)
-      (pick [ 6; 7 ] [ 3 ])
-  in
-  let reach_rows =
-    (* the E8 enumeration column, one n past where the full run stops *)
-    List.map
-      (fun n ->
-         let count packed () =
-           Bignum.to_string
-             (Bignum.of_int
-                (Lang.cardinal
-                   (Analysis.language_exn ~packed (Constructions.log_cfg n))))
-         in
-         row
-           (Printf.sprintf "E8 reach: |L_%d| by enumeration" n)
-           (count false) (count true))
-      (pick [ 8 ] [ 3 ])
-  in
-  Report.print_table
-    ~title:
-      "E27 (bitset kernel): wall-clock of the rectangle, cover, matrix and \
-       discrepancy hot paths, set/enumeration baseline vs packed kernel — \
-       identical output required"
-    ~headers:[ "hot path"; "baseline ms"; "packed ms"; "speedup"; "identical" ]
-    (verify_rows @ greedy_rows @ profile_rows @ disc_rows @ matrix_rows
-   @ reach_rows)
-
 (* ----------------------------------------------------------------- E29 *)
 
 let e29_semantic_check () =
@@ -1258,8 +898,7 @@ let e29_semantic_check () =
      counting backend engages exactly where the unambiguity certificate
      holds (sigma_chain); log_cfg and the trivial grammar fall back to the
      packed algebra.  The text is verdict-only — no wall clock — so the
-     checksum gates against drift; per-experiment latency lives in the
-     JSON "ms" field. *)
+     checksum gates against drift. *)
   let module SL = Ucfg_lint.Semantic_lint in
   let backend = function
     | SL.Counting -> "count"
@@ -1409,23 +1048,8 @@ let e32_resumable_search () =
   (* Checkpointable sharded search as a product.  E32a: a search
      interrupted by a per-slice tick guard and resumed from its
      checkpoint, slice after slice, lands on exactly the verdict and
-     replayed node count of one uninterrupted run.  E32b: the
-     cross-domain verdict memo — identical nodes with the memo on or
-     off, nonzero hit ratio, and the wall-clock it buys at jobs=1 and
-     jobs=4.  Slice counts and wall-clock are scheduling- and
-     machine-dependent, so E32 stays out of the determinism set. *)
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1e3)
-  in
-  let saved = Ucfg_exec.Exec.jobs () in
-  let run jobs f =
-    Ucfg_exec.Exec.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Ucfg_exec.Exec.set_jobs saved)
-      (fun () -> wall f)
-  in
+     replayed node count of one uninterrupted run.  Slice counts are
+     scheduling-dependent, so E32 stays out of the determinism set. *)
   let describe r =
     Printf.sprintf "%s, %d nodes"
       (match r.Search.minimal_size with
@@ -1470,106 +1094,7 @@ let e32_resumable_search () =
              = Option.map Grammar.to_string sliced.Search.witness);
       ];
     ];
-  (* E32b: k=3 universe, where nonterminal renamings and cross-k
-     containment give the canonical-key memo its hits *)
-  let ms = pick 7 6 in
-  let search memo () =
-    Search.minimal_cnf_size ~max_size:ms ~memo Alphabet.binary (Ln.language 3)
-  in
-  Report.print_table
-    ~title:
-      (Printf.sprintf
-         "E32b (verdict memo): minimal-CNF search for L_3 (k<=3, size<=%d), \
-          memo on vs off — same nodes, hit ratio and wall-clock effect" ms)
-    ~headers:
-      [ "jobs"; "memo off ms"; "memo on ms"; "speedup"; "hit ratio"; "identical" ]
-    (List.map
-       (fun jobs ->
-          ignore (search true ());
-          (* warmup: first call pays allocation/GC ramp-up *)
-          let off, t_off = run jobs (search false) in
-          let on, t_on = run jobs (search true) in
-          let ratio =
-            float_of_int on.Search.memo_hits
-            /. float_of_int (max 1 (on.Search.memo_hits + on.Search.memo_misses))
-          in
-          [
-            string_of_int jobs;
-            Printf.sprintf "%.1f" t_off;
-            Printf.sprintf "%.1f" t_on;
-            Printf.sprintf "%.2fx" (t_off /. Float.max t_on 1e-6);
-            Printf.sprintf "%.2f" ratio;
-            yes (describe off = describe on);
-          ])
-       [ 1; 4 ]);
   Printf.printf "\n"
-
-(* ------------------------------------------------------- timing section *)
-
-let timings () =
-  let open Bechamel in
-  let log6_cnf = Cnf.of_grammar (Constructions.log_cfg 6) in
-  let ex4_8_cnf = Cnf.of_grammar (Constructions.example4 8) in
-  let log7 = Constructions.log_cfg 7 in
-  let word12 = "aabbabaabbab" in
-  let blocks3 = Ucfg_disc.Blocks.create 12 in
-  let tight3 = Ucfg_disc.Discrepancy.tight_example blocks3 in
-  let matrix6 =
-    Ucfg_comm.Matrix.of_language Alphabet.binary (Ln.language 6) ~split:6
-  in
-  let log4 = Constructions.log_cfg 4 in
-  let tests =
-    [
-      Test.make ~name:"cyk-recognize (log_cfg 6, |w|=12)"
-        (Staged.stage (fun () -> ignore (Cyk.recognize log6_cnf word12)));
-      Test.make ~name:"count-dp uCFG n=8 (poly)"
-        (Staged.stage (fun () ->
-             ignore (Count.words_unambiguous ex4_8_cnf 16)));
-      Test.make ~name:"count-enumeration CFG n=7 (exp)"
-        (Staged.stage (fun () -> ignore (Count.words_by_enumeration log7)));
-      Test.make ~name:"extract rectangles (Prop 7, log_cfg 4)"
-        (Staged.stage (fun () -> ignore (Ucfg_rect.Extract.run log4)));
-      Test.make ~name:"rank GF(2) 64x64 (L_6 midpoint)"
-        (Staged.stage (fun () -> ignore (Ucfg_comm.Rank.gf2 matrix6)));
-      Test.make ~name:"discrepancy m=3 full-family rectangle"
-        (Staged.stage (fun () ->
-             ignore (Ucfg_disc.Discrepancy.of_rectangle blocks3 tight3)));
-      Test.make ~name:"nfa-accepts (L_16 NFA)"
-        (let nfa = Ucfg_automata.Ln_nfa.build 16 in
-         let w = String.init 32 (fun i -> if i mod 3 = 0 then 'a' else 'b') in
-         Staged.stage (fun () -> ignore (Ucfg_automata.Nfa.accepts nfa w)));
-      Test.make ~name:"ambiguity exhaustive (log_cfg 6)"
-        (let g = Constructions.log_cfg 6 in
-         Staged.stage (fun () ->
-             ignore (Ambiguity.is_unambiguous ~fast:false g)));
-      Test.make ~name:"ambiguity lint fast-path (log_cfg 6)"
-        (let g = Constructions.log_cfg 6 in
-         Staged.stage (fun () -> ignore (Ambiguity.is_unambiguous g)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    if !smoke then Benchmark.cfg ~limit:1 ~quota:(Time.second 0.001) ()
-    else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-  in
-  let grouped = Test.make_grouped ~name:"ucfg" tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  Report.print_table ~title:"timings (Bechamel OLS estimate, ns per run)"
-    ~headers:[ "benchmark"; "ns/run" ]
-    (Hashtbl.fold
-       (fun name ols_result acc ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ est ] -> Printf.sprintf "%.0f" est
-            | _ -> "?"
-          in
-          [ name; ns ] :: acc)
-       results []
-     |> List.sort compare)
 
 let e30_serve_cache () =
   (* the serving tier as a product: each request is answered three times —
@@ -1578,8 +1103,8 @@ let e30_serve_cache () =
      over the same cache directory (a verified on-disk hit).  The table is
      the byte-identity gate: one MD5 over the [result] payload per row,
      required identical across all three sources, plus the source
-     trajectory itself.  No wall clock in the text — `make determinism`
-     diffs it across jobs 1 and 4; latency lives in bombard reports. *)
+     trajectory itself.  No wall clock in the text — `make repro-check`
+     gates it at jobs 1 and 4; latency lives in bombard reports. *)
   let module Server = Ucfg_serve.Server in
   let module Json = Ucfg_serve.Json in
   let dir =
@@ -1663,89 +1188,6 @@ let e30_serve_cache () =
           ])
        requests)
 
-(* ----------------------------------------------------------------- E33 *)
-
-let e33_concurrent_serving () =
-  (* The concurrent daemon as a measurement: the same seeded bombard
-     profile, 4 persistent client connections, against a real unix-socket
-     daemon at --max-connections 1 (one worker: PR 8's effective serial
-     loop) and 4.  Wall clock and p99 are machine-dependent, so E33 stays
-     out of the determinism set; byte identity across connection counts
-     is the serving gate's job (`make serve-smoke` / `make serve-chaos`),
-     not this table's — here errors and mismatches are merely required to
-     be zero. *)
-  let module Server = Ucfg_serve.Server in
-  let module Bombard = Ucfg_serve.Bombard in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucfg-bench-e33-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect ~finally:(fun () -> rm dir) @@ fun () ->
-  let requests = pick 400 60 in
-  let clients = 4 in
-  let row mc =
-    let path = Filename.concat dir (Printf.sprintf "mc%d.sock" mc) in
-    (* queue headroom = client count: persistent connections beyond the
-       worker pool wait their turn instead of being shed, so the one-
-       worker row measures serial service, not retry storms *)
-    let srv =
-      Server.create ~cache_dir:None ~max_connections:mc
-        ~queue_capacity:clients ()
-    in
-    let th =
-      Thread.create (fun () -> ignore (Server.run_unix srv ~path)) ()
-    in
-    let rec await n =
-      if n > 1000 then failwith "e33: daemon did not come up"
-      else if not (Sys.file_exists path) then begin
-        Thread.delay 0.005;
-        await (n + 1)
-      end
-    in
-    await 0;
-    let r =
-      Fun.protect
-        ~finally:(fun () ->
-            Server.request_drain srv;
-            Thread.join th)
-        (fun () ->
-           Bombard.concurrent_run ~profile:"smoke" ~seed:1066 ~requests
-             ~clients (Bombard.Unix_path path))
-    in
-    [
-      string_of_int mc;
-      string_of_int clients;
-      string_of_int (r.Bombard.cold.Bombard.count + r.Bombard.warm.Bombard.count);
-      Printf.sprintf "%.0f" r.Bombard.throughput_rps;
-      Printf.sprintf "%.2f" r.Bombard.warm.Bombard.p50_ms;
-      Printf.sprintf "%.2f" r.Bombard.warm.Bombard.p99_ms;
-      Printf.sprintf "%.2f" r.Bombard.warm_hit_ratio;
-      string_of_int (r.Bombard.errors + r.Bombard.mismatches);
-    ]
-  in
-  Report.print_table
-    ~title:
-      "E33 (concurrent serving): seeded smoke bombardment over 4 persistent \
-       client connections against a unix-socket daemon, one worker vs four \
-       — throughput and warm-phase latency (machine-dependent; errors + \
-       mismatches must be 0)"
-    ~headers:
-      [ "max-conn"; "clients"; "served"; "req/s"; "warm p50 ms";
-        "warm p99 ms"; "warm hits"; "err+mism" ]
-    (List.map row [ 1; 4 ]);
-  Printf.printf "\n"
-
 (* ------------------------------------------------------------------ main *)
 
 let experiments =
@@ -1758,125 +1200,35 @@ let experiments =
     ("e15", e15_bar_hillel); ("e16", e16_direct_access); ("e17", e17_slp);
     ("e18", e18_circuits); ("e19", e19_profiles); ("e20", e20_ufa);
     ("e21", e21_structured); ("e22", e22_disambiguate);
-    ("e23", e23_overlap_asymmetry); ("e24", e24_lint_fastpath);
-    ("e25", e25_parallel_speedup); ("e26", e26_packed_speedup);
-    ("e27", e27_bitset_kernel); ("e29", e29_semantic_check);
+    ("e23", e23_overlap_asymmetry); ("e29", e29_semantic_check);
     ("e30", e30_serve_cache); ("e31", e31_tier_sweeps);
     ("e32", e32_resumable_search);
-    ("e33", e33_concurrent_serving);
-    ("timings", timings);
   ]
 
-(* --json: run each experiment with stdout captured, echo the output
-   through unchanged, and record per-experiment wall-clock plus an MD5
-   checksum of the text — the machine-readable perf trajectory.  Checksums
-   of deterministic experiments must agree between the sequential and
-   parallel runs (the `make json-determinism` gate). *)
-let json_mode = ref false
-let json_out = ref "BENCH_pr9.json"
-
 (* --timeout SEC wraps each experiment in its own wall-clock guard: a
-   tripped experiment prints a note, records a "timeout" outcome in the
-   JSON row, and the run moves on to the next experiment instead of
-   dying.  Without --timeout the guard is the unlimited singleton and
-   output is byte-identical to previous revisions. *)
+   tripped experiment prints a note and the run moves on to the next
+   experiment instead of dying.  Without --timeout the guard is the
+   unlimited singleton and output is byte-identical to previous
+   revisions. *)
 let exp_timeout = ref None
 
-let governed f () =
+let run_experiment f =
+  Printf.printf "\n";
   match !exp_timeout with
-  | None ->
-    f ();
-    `Ok
+  | None -> f ()
   | Some s ->
     let guard = Ucfg_exec.Guard.create ~timeout:s () in
     (match Ucfg_exec.Exec.with_guard guard f with
-     | () -> `Ok
+     | () -> ()
      | exception Ucfg_exec.Guard.Interrupt r ->
        Printf.printf "[experiment timed out: %s]\n"
-         (Ucfg_exec.Guard.describe r);
-       `Timeout)
-
-let with_stdout_captured f =
-  let tmp = Filename.temp_file "ucfg_bench" ".out" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  flush stdout;
-  Format.print_flush ();
-  let saved = Unix.dup Unix.stdout in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  let restore () =
-    flush stdout;
-    Format.print_flush ();
-    Unix.dup2 saved Unix.stdout;
-    Unix.close saved
-  in
-  let finish () =
-    restore ();
-    let ic = open_in_bin tmp in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove tmp;
-    text
-  in
-  match f () with
-  | () -> finish ()
-  | exception e ->
-    ignore (finish ());
-    raise e
-
-let run_experiment name f =
-  if not !json_mode then begin
-    Printf.printf "\n";
-    ignore (governed f ());
-    None
-  end
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let outcome = ref `Ok in
-    let text =
-      with_stdout_captured (fun () ->
-          Printf.printf "\n";
-          outcome := governed f ())
-    in
-    let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-    (* echo through: with or without --json the terminal sees the same *)
-    print_string text;
-    flush stdout;
-    Some (name, ms, Digest.to_hex (Digest.string text), !outcome)
-  end
-
-let write_json records =
-  let oc = open_out !json_out in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"meta\": { \"smoke\": %b, \"jobs\": %d },\n" !smoke
-    (Ucfg_exec.Exec.jobs ());
-  Printf.fprintf oc "  \"experiments\": [\n";
-  List.iteri
-    (fun i (name, ms, checksum, outcome) ->
-       (* outcome sits after the checksum so the bench-compare sed, which
-          anchors on name/ms/checksum, keeps matching *)
-       Printf.fprintf oc
-         "    { \"name\": %S, \"ms\": %.2f, \"checksum\": %S, \
-          \"outcome\": %S }%s\n"
-         name ms checksum
-         (match outcome with `Ok -> "ok" | `Timeout -> "timeout")
-         (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+         (Ucfg_exec.Guard.describe r))
 
 let () =
   let rec parse names = function
     | [] -> List.rev names
     | "--smoke" :: rest ->
       smoke := true;
-      parse names rest
-    | "--json" :: rest ->
-      json_mode := true;
-      parse names rest
-    | "--json-out" :: file :: rest ->
-      json_mode := true;
-      json_out := file;
       parse names rest
     | "--jobs" :: n :: rest ->
       Ucfg_exec.Exec.set_jobs (int_of_string n);
@@ -1899,14 +1251,9 @@ let () =
     | [] -> List.map fst experiments
     | names -> names
   in
-  let records =
-    List.filter_map
-      (fun name ->
-         match List.assoc_opt name experiments with
-         | Some f -> run_experiment name f
-         | None ->
-           Printf.eprintf "unknown experiment %s\n" name;
-           None)
-      selected
-  in
-  if !json_mode then write_json records
+  List.iter
+    (fun name ->
+       match List.assoc_opt name experiments with
+       | Some f -> run_experiment f
+       | None -> Printf.eprintf "unknown experiment %s\n" name)
+    selected

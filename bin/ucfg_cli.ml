@@ -195,12 +195,10 @@ let count_cmd =
 (* --- rectangles ---------------------------------------------------------- *)
 
 let rectangles_cmd =
-  let run () kind n no_packed =
+  let run () kind n =
     let g = build_grammar kind n in
     let res = Ucfg_rect.Extract.run g in
-    let v, shape_ok =
-      Ucfg_rect.Extract.verify ~packed:(not no_packed) g res
-    in
+    let v, shape_ok = Ucfg_rect.Extract.verify g res in
     Printf.printf
       "word length: %d\nCNF size: %d\nannotated size (Lemma 10): %d\n\
        rectangles: %d (bound N·|G| = %d)\ncover verified: %b\ndisjoint: %b\n\
@@ -211,18 +209,10 @@ let rectangles_cmd =
       res.Ucfg_rect.Extract.bound v.Ucfg_rect.Cover.is_cover
       v.Ucfg_rect.Cover.is_disjoint shape_ok
   in
-  let no_packed_arg =
-    Arg.(
-      value & flag
-      & info [ "no-packed" ]
-          ~doc:
-            "Verify the cover on the string-set baseline instead of the \
-             packed bitset kernel (for timing comparisons; same result).")
-  in
   Cmd.v
     (Cmd.info "rectangles"
        ~doc:"Run the Proposition 7 extraction on one of the grammars.")
-    Term.(const run $ common_term $ kind_arg $ n_arg $ no_packed_arg)
+    Term.(const run $ common_term $ kind_arg $ n_arg)
 
 (* --- bound --------------------------------------------------------------- *)
 

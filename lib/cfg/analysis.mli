@@ -24,8 +24,8 @@ type overflow = [ `Length_exceeded of int | `Card_exceeded of int ]
     codes ({!Ucfg_lang.Wide}) up to 128, and factorised circuits
     ({!Ucfg_lang.Factored}) beyond, or whenever the product cardinality is
     huge.  [~packed:false] (default [true]) forces the set representation
-    throughout — the result is identical, only slower, and exists so the
-    speedup stays measurable (bench E26).  [~factored:true] (default
+    throughout — the result is identical, only slower; it is the
+    reference route the tests check the tiered fixpoint against.  [~factored:true] (default
     [false]) seeds the fixpoint on tier T2, so every derived language is a
     circuit: languages of billions of words stay a few hundred thousand
     hash-consed nodes and the n ≥ 16 sweeps (bench E31) terminate.  With

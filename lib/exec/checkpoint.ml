@@ -1,10 +1,7 @@
-(* Self-verifying checkpoint files; see the mli for the contract. *)
+(* Self-verifying files and the search checkpoints built on them; see the
+   mli for the contract. *)
 
 type load = Loaded of string | Absent | Invalid of string
-
-let magic = "ucfg-search v1"
-
-let file ~dir = Filename.concat dir "checkpoint"
 
 let mkdir_p path =
   let rec ensure p =
@@ -19,9 +16,8 @@ let mkdir_p path =
    cross-domain *)
 let tmp_counter = Atomic.make 0
 
-let save ~dir payload =
-  mkdir_p dir;
-  let path = file ~dir in
+let write ~magic path payload =
+  mkdir_p (Filename.dirname path);
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_counter 1)
@@ -34,11 +30,11 @@ let save ~dir payload =
          (Digest.to_hex (Digest.string payload))
          (String.length payload);
        output_string oc payload);
-  Unix.rename tmp path;
-  path
+  (* atomic on POSIX: readers see the old file or the new one, never a
+     prefix of either *)
+  Unix.rename tmp path
 
-let load ~dir =
-  let path = file ~dir in
+let read ~magic path =
   match open_in_bin path with
   | exception Sys_error _ -> Absent
   | ic ->
@@ -48,8 +44,16 @@ let load ~dir =
          match input_line ic with
          | exception End_of_file -> Invalid "empty file"
          | header -> (
-             match String.split_on_char ' ' header with
-             | [ m1; m2; digest; len_text ] when m1 ^ " " ^ m2 = magic -> (
+             let prefix = magic ^ " " in
+             let fields =
+               if String.starts_with ~prefix header then
+                 String.split_on_char ' '
+                   (String.sub header (String.length prefix)
+                      (String.length header - String.length prefix))
+               else []
+             in
+             match fields with
+             | [ digest; len_text ] -> (
                  match int_of_string_opt len_text with
                  | None -> Invalid "malformed length"
                  | Some len when len < 0 -> Invalid "malformed length"
@@ -64,6 +68,17 @@ let load ~dir =
                        then Invalid "digest mismatch"
                        else Loaded payload))
              | _ -> Invalid "unknown header or version"))
+
+let magic = "ucfg-search v1"
+
+let file ~dir = Filename.concat dir "checkpoint"
+
+let save ~dir payload =
+  let path = file ~dir in
+  write ~magic path payload;
+  path
+
+let load ~dir = read ~magic (file ~dir)
 
 let clear ~dir =
   try Sys.remove (file ~dir) with Sys_error _ -> ()

@@ -78,11 +78,13 @@ let drep_of_factored f =
   let a_id = push (Drep.Letter 'a') in
   let b_id = push (Drep.Letter 'b') in
   let eps_id = lazy (push Drep.Eps) in
-  let memo = Hashtbl.create 256 in
+  (* node ids are ints: an int-specialised table, no polymorphic hash *)
+  let module Id_tbl = Hashtbl.Make (Int) in
+  let memo = Id_tbl.create 256 in
   (* gates for the children are pushed before the parent, so every child
      index is smaller — the bottom-up order [Drep.make] validates *)
   let rec gate nd =
-    match Hashtbl.find_opt memo (F.node_id nd) with
+    match Id_tbl.find_opt memo (F.node_id nd) with
     | Some id -> id
     | None ->
       let id =
@@ -105,7 +107,7 @@ let drep_of_factored f =
           in
           (match arms with [ g ] -> g | _ -> push (Drep.Union arms))
       in
-      Hashtbl.replace memo (F.node_id nd) id;
+      Id_tbl.replace memo (F.node_id nd) id;
       id
   in
   let root = gate (F.root f) in

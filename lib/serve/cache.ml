@@ -81,67 +81,10 @@ let entry_path t key =
        Filename.concat (Filename.concat dir prefix) (key ^ ".entry"))
     t.dir
 
-let mkdir_p path =
-  let rec ensure p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      ensure (Filename.dirname p);
-      try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  ensure path
+(* disk entries are self-verifying Checkpoint files under this magic *)
+module Checkpoint = Ucfg_exec.Checkpoint
 
 let magic = "ucfg-cache v1"
-
-(* distinct temp names per writer: pid for cross-process, a counter for
-   cross-domain *)
-let tmp_counter = Atomic.make 0
-
-let write_disk path payload =
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-       Printf.fprintf oc "%s %s %d\n" magic
-         (Digest.to_hex (Digest.string payload))
-         (String.length payload);
-       output_string oc payload);
-  (* atomic on POSIX: readers see the old entry or the new one, never a
-     prefix of either *)
-  Unix.rename tmp path
-
-type disk_read = D_hit of string | D_miss | D_corrupt
-
-let read_disk path =
-  match open_in_bin path with
-  | exception Sys_error _ -> D_miss
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-         match input_line ic with
-         | exception End_of_file -> D_corrupt
-         | header -> (
-             match String.split_on_char ' ' header with
-             | [ m1; m2; digest; len_text ] when m1 ^ " " ^ m2 = magic -> (
-                 match int_of_string_opt len_text with
-                 | None -> D_corrupt
-                 | Some len when len < 0 -> D_corrupt
-                 | Some len -> (
-                     match really_input_string ic len with
-                     | exception End_of_file -> D_corrupt
-                     | payload ->
-                       (* a trailing-garbage append is damage too *)
-                       if
-                         pos_in ic = in_channel_length ic
-                         && Digest.to_hex (Digest.string payload) = digest
-                       then D_hit payload
-                       else D_corrupt))
-             | _ -> D_corrupt))
 
 (* --- disk-tier eviction --------------------------------------------------- *)
 
@@ -254,17 +197,17 @@ let lookup t key =
         locked t (fun () -> t.misses <- t.misses + 1);
         Miss
       | Some path -> (
-          match read_disk path with
-          | D_hit payload ->
+          match Checkpoint.read ~magic path with
+          | Checkpoint.Loaded payload ->
             touch path;
             locked t (fun () ->
                 t.disk_hits <- t.disk_hits + 1;
                 insert_locked t key payload);
             Disk payload
-          | D_miss ->
+          | Checkpoint.Absent ->
             locked t (fun () -> t.misses <- t.misses + 1);
             Miss
-          | D_corrupt ->
+          | Checkpoint.Invalid _ ->
             locked t (fun () -> t.corrupt <- t.corrupt + 1);
             Corrupt))
 
@@ -282,7 +225,7 @@ let store t key payload =
     match entry_path t key with
     | None -> ()
     | Some path ->
-      write_disk path payload;
+      Checkpoint.write ~magic path payload;
       enforce_disk_cap t
 
 let close t = locked t (fun () -> t.closed <- true)

@@ -8,7 +8,8 @@
     hash table with last-use stamps, scanned for the oldest entry on
     eviction), then the disk store under [dir/<k[0..1]>/<key>.entry].
 
-    Every disk entry is self-verifying — a header records the MD5 and byte
+    Every disk entry is a self-verifying {!Ucfg_exec.Checkpoint} file
+    ([ucfg-cache v1] header) — the header records the MD5 and byte
     length of the payload, and a read that fails either check reports
     {!Corrupt} instead of returning bytes, so a truncated or bit-flipped
     entry can degrade only to a recomputation, never to a wrong answer.

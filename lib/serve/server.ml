@@ -407,14 +407,16 @@ let op_rank t ~guard ~split g =
     | None -> (len + 1) / 2
   in
   let m = Ucfg_comm.Matrix.of_language (Grammar.alphabet g) lang ~split in
+  let gf2 = Ucfg_comm.Rank.gf2 m in
   Json.Obj
     [ ("word_length", Json.Int len);
       ("split", Json.Int split);
       ("rows", Json.Int (Ucfg_comm.Matrix.rows m));
       ("cols", Json.Int (Ucfg_comm.Matrix.cols m));
       ("ones", Json.Int (Ucfg_comm.Matrix.ones m));
-      ("gf2_rank", Json.Int (Ucfg_comm.Rank.gf2 m));
-      ("cover_lower_bound", Json.Int (Ucfg_comm.Rank.disjoint_cover_lower_bound m));
+      ("gf2_rank", Json.Int gf2);
+      (* Rank.disjoint_cover_lower_bound, reusing the GF(2) rank *)
+      ("cover_lower_bound", Json.Int (max gf2 (Ucfg_comm.Rank.mod_p m)));
       ("language_digest", Json.Str (Lang.digest lang)) ]
 
 (* --- the dispatcher ------------------------------------------------------- *)

@@ -480,6 +480,13 @@ let test_fast_path_contract () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+let test_fast_path_log_cfg_16 () =
+  (* |L_16| = 4^16 - 3^16 (about 4.3e9 words) is far past the exhaustive
+     count, so this verdict can only come from the static pre-checks *)
+  let ds = Grammar_lint.run (Constructions.log_cfg 16) in
+  Alcotest.(check bool) "verdict ambiguous" true
+    (Grammar_lint.verdict ds = `Ambiguous)
+
 (* --- NFA codes ----------------------------------------------------------- *)
 
 let mk_nfa ?(epsilons = []) ~states ~initials ~finals transitions =
@@ -945,6 +952,8 @@ let () =
           Alcotest.test_case "witness" `Quick test_fast_path_witness;
           Alcotest.test_case "contract preserved" `Quick
             test_fast_path_contract;
+          Alcotest.test_case "log_cfg 16 verdict" `Quick
+            test_fast_path_log_cfg_16;
         ] );
       ( "nfa codes",
         [

@@ -1,8 +1,9 @@
 (* The packed-language backend and the rule-indexed counting kernels:
    [Packed] agrees with the set representation on every operation, the
    CYK / Count_word int fast paths agree with the big-integer paths across
-   the overflow boundary, the batch APIs agree with per-word calls, and
-   everything is invariant under the job count. *)
+   the overflow boundary, the batch APIs agree with per-word calls, the
+   set-backed fixpoint agrees with the packed one, and everything is
+   invariant under the job count. *)
 
 open Ucfg_word
 open Ucfg_lang
@@ -233,6 +234,45 @@ let test_cyk_agrees_with_count_word () =
        Alcotest.check bignum w (Count_word.trees g w) (Cyk.count_trees g w))
     (Lang.full Alphabet.binary 4)
 
+(* --- the set-backed fixpoint vs the packed default ---------------------- *)
+
+(* [~packed:false] keeps every intermediate language set-backed, so it is
+   an independent route to the language the tiered fixpoint computes (and
+   to the same overflow, when a word outgrows [max_len]).  Even seeds draw uniform-length grammars (the packed concatenation path),
+   odd seeds mixed-length ones (the set path under both settings). *)
+let prop_fixpoint_set_vs_packed =
+  QCheck.Test.make ~name:"Analysis.language: set = packed fixpoint"
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+       let rng = Ucfg_util.Rng.create seed in
+       let g =
+         if seed land 1 = 0 then
+           Random_grammar.fixed_length rng
+             ~word_len:(1 + Ucfg_util.Rng.int rng 8)
+             ~variants:2
+         else
+           Random_grammar.general rng ~nonterminals:4 ~max_rules:3
+             ~max_rhs_len:3
+       in
+       match (Analysis.language ~packed:false g, Analysis.language g) with
+       | Ok set, Ok packed ->
+         Lang.equal set packed && Lang.cardinal set = Lang.cardinal packed
+       | Error e1, Error e2 -> e1 = e2
+       | _ -> false)
+
+let test_log_cfg_both_fixpoints () =
+  for n = 1 to 7 do
+    let g = Constructions.log_cfg n in
+    List.iter
+      (fun packed ->
+         Alcotest.check lang
+           (Printf.sprintf "L(log_cfg %d), packed=%b" n packed)
+           (Ln.language n)
+           (Analysis.language_exn ~packed g))
+      [ false; true ]
+  done
+
 (* --- job-count invariance ---------------------------------------------- *)
 
 let prop_language_jobs_invariant =
@@ -274,6 +314,7 @@ let qtests =
       prop_pack_roundtrip; prop_boolean_ops_agree; prop_predicates_agree;
       prop_concat_agrees; prop_complement_full_agree; prop_iteration_order;
       prop_lengths_sorted; prop_language_jobs_invariant;
+      prop_fixpoint_set_vs_packed;
     ]
 
 let () =
@@ -295,5 +336,7 @@ let () =
             test_profile_jobs_invariant;
           Alcotest.test_case "packed concat invariant under jobs" `Quick
             test_concat_jobs_invariant;
+          Alcotest.test_case "L(log_cfg n) on both fixpoints" `Quick
+            test_log_cfg_both_fixpoints;
         ] );
     ]
