@@ -13,6 +13,10 @@ BENCH := dune exec --no-build -- bench/main.exe
 DET_EXPERIMENTS := e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 \
   e17 e18 e19 e20 e21 e22 e23 e29 e30 e31
 
+# the example programs, whose whole output is deterministic too
+DET_EXAMPLES := quickstart separation_demo csv_extraction factorized_join \
+  unambiguity_dividend set_disjointness
+
 .PHONY: build test lint smoke determinism repro-check chaos timeout-smoke \
   search-resume-smoke check-smoke serve-smoke serve-drain-smoke serve-chaos \
   perfbench-smoke ci check clean
@@ -41,6 +45,8 @@ lint: build
 
 smoke: build
 	$(BENCH) --smoke
+	@echo "-- an unknown experiment is a usage error (exit 2)"
+	$(BENCH) --smoke e99; test $$? -eq 2
 
 # the whole suite under a 4-domain pool (the experiments' jobs-invariance
 # is gated by repro-check)
@@ -49,15 +55,19 @@ determinism: build
 	@echo "determinism: OK"
 
 # the reproduction gate: the smoke output of every deterministic
-# experiment must hash to its line of bench/checksums.txt at jobs 1 and
-# at jobs 4.  No target rewrites that file: a change that moves a
-# reproduced number edits its line by hand.
+# experiment, and the output of every example program, must hash to its
+# line of bench/checksums.txt at jobs 1 and at jobs 4.  No target
+# rewrites that file: a change that moves a reproduced number edits its
+# line by hand.
 repro-check: build
 	@mkdir -p _build/repro
 	@st=0; for j in 1 4; do \
-	  for e in $(DET_EXPERIMENTS); do \
+	  { for e in $(DET_EXPERIMENTS); do \
 	    echo "$$e $$(UCFG_JOBS=$$j $(BENCH) --smoke $$e | md5sum | cut -d' ' -f1)"; \
-	  done > _build/repro/jobs$$j.txt; \
+	  done; \
+	  for x in $(DET_EXAMPLES); do \
+	    echo "$$x $$(UCFG_JOBS=$$j dune exec --no-build -- examples/$$x.exe | md5sum | cut -d' ' -f1)"; \
+	  done; } > _build/repro/jobs$$j.txt; \
 	  diff bench/checksums.txt _build/repro/jobs$$j.txt || \
 	    { echo "repro-check: checksum drift at jobs $$j"; st=1; }; \
 	done; exit $$st

@@ -1251,9 +1251,15 @@ let () =
     | [] -> List.map fst experiments
     | names -> names
   in
-  List.iter
-    (fun name ->
-       match List.assoc_opt name experiments with
-       | Some f -> run_experiment f
-       | None -> Printf.eprintf "unknown experiment %s\n" name)
-    selected
+  (* every name is checked before any experiment runs: a typo is a usage
+     error (exit 2), not an empty success *)
+  (match
+     List.filter (fun name -> not (List.mem_assoc name experiments)) selected
+   with
+   | [] -> ()
+   | unknown ->
+     List.iter (Printf.eprintf "unknown experiment %s\n") unknown;
+     Printf.eprintf "known experiments: %s\n"
+       (String.concat " " (List.map fst experiments));
+     exit 2);
+  List.iter (fun name -> run_experiment (List.assoc name experiments)) selected

@@ -1,43 +1,12 @@
 open Grammar
 module Bignum = Ucfg_util.Bignum
 
+module Counts = Weighted.Make (Semiring.Counting)
+
 let derivations_by_length g max_len =
   if not (Grammar.is_cnf g) then
     invalid_arg "Count.derivations_by_length: grammar not in CNF";
-  let nn = nonterminal_count g in
-  (* d.(a).(l) = number of parse trees of words of length l from a;
-     computed by fixpoint iteration that converges because trees of length
-     l only use trees of strictly smaller length in CNF *)
-  let d = Array.make_matrix nn (max_len + 1) Bignum.zero in
-  List.iter
-    (fun { lhs; rhs } ->
-       match rhs with
-       | [ T _ ] when max_len >= 1 ->
-         d.(lhs).(1) <- Bignum.add d.(lhs).(1) Bignum.one
-       | _ -> ())
-    (rules g);
-  let bin =
-    List.filter_map
-      (fun { lhs; rhs } ->
-         match rhs with [ N b; N c ] -> Some (lhs, b, c) | _ -> None)
-      (rules g)
-  in
-  for len = 2 to max_len do
-    List.iter
-      (fun (a, b, c) ->
-         let acc = ref d.(a).(len) in
-         for k = 1 to len - 1 do
-           acc := Bignum.add !acc (Bignum.mul d.(b).(k) d.(c).(len - k))
-         done;
-         d.(a).(len) <- !acc)
-      bin
-  done;
-  let res = Array.make (max_len + 1) Bignum.zero in
-  for l = 1 to max_len do
-    res.(l) <- d.(start g).(l)
-  done;
-  if Grammar.has_rule g (start g) [] then res.(0) <- Bignum.one;
-  res
+  Array.map (fun row -> row.(start g)) (Counts.length_table g max_len)
 
 let words_unambiguous g max_len =
   Bignum.sum (Array.to_list (derivations_by_length g max_len))

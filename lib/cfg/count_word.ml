@@ -39,50 +39,10 @@ let plan g =
     }
   end
 
-exception Int_overflow
-
-(* The DP is written once against a numeric signature and instantiated
+(* The DP is written once over a counting semiring and instantiated
    twice: overflow-checked native ints for the common case (ambiguity
    checking needs counts 0/1/2+), big integers as the escape hatch. *)
-module type NUM = sig
-  type t
-
-  val zero : t
-  val one : t
-  val add : t -> t -> t
-  val mul : t -> t -> t
-  val is_positive : t -> bool
-end
-
-module Int_num = struct
-  type t = int
-
-  let zero = 0
-  let one = 1
-
-  let add a b =
-    let s = a + b in
-    if s < 0 then raise_notrace Int_overflow else s
-
-  let mul a b =
-    if a = 0 || b = 0 then 0
-    else if a > max_int / b then raise_notrace Int_overflow
-    else a * b
-
-  let is_positive v = v > 0
-end
-
-module Big_num = struct
-  type t = Bignum.t
-
-  let zero = Bignum.zero
-  let one = Bignum.one
-  let add = Bignum.add
-  let mul = Bignum.mul
-  let is_positive v = Bignum.sign v > 0
-end
-
-module Dp (Num : NUM) = struct
+module Dp (Num : Semiring.S) = struct
   let run p w =
     let n = String.length w in
     let nt_memo : (int, Num.t) Hashtbl.t = Hashtbl.create 256 in
@@ -110,7 +70,7 @@ module Dp (Num : NUM) = struct
         Hashtbl.replace nt_memo key Num.zero;
         let total = ref Num.zero in
         Array.iter
-          (fun ridx -> total := Num.add !total (seq ridx 0 i j))
+          (fun ridx -> total := Num.plus !total (seq ridx 0 i j))
           p.by_lhs_idx.(a);
         Hashtbl.replace nt_memo key !total;
         !total
@@ -133,9 +93,9 @@ module Dp (Num : NUM) = struct
             | N b ->
               for mid = i to j do
                 let left = nt b i mid in
-                if Num.is_positive left then
+                if not (Num.is_zero left) then
                   total :=
-                    Num.add !total (Num.mul left (seq ridx (k + 1) mid j))
+                    Num.plus !total (Num.times left (seq ridx (k + 1) mid j))
               done
           end;
           Hashtbl.replace seq_memo key !total;
@@ -145,15 +105,15 @@ module Dp (Num : NUM) = struct
     nt (start p.trimmed) 0 n
 end
 
-module Int_dp = Dp (Int_num)
-module Big_dp = Dp (Big_num)
+module Int_dp = Dp (Semiring.Checked_int)
+module Big_dp = Dp (Semiring.Counting)
 
 let trees_with p w =
   if p.degenerate then Bignum.zero
   else
     match Int_dp.run p w with
     | v -> Bignum.of_int v
-    | exception Int_overflow -> Big_dp.run p w
+    | exception Semiring.Checked_int.Overflow -> Big_dp.run p w
 
 let trees g w = trees_with (plan g) w
 

@@ -1,190 +1,36 @@
 open Grammar
 module Bignum = Ucfg_util.Bignum
 
-(* --- the precompiled rule index --------------------------------------- *)
-
-(* The per-cell work of the CYK dynamic program used to rescan the rule
-   *list* of the grammar; for the thousands of same-grammar calls the
-   harness makes, the index below is computed once per grammar (memoised on
-   {!Grammar.id}) and every loop runs over flat arrays.  Rules keep their
-   first-occurrence order everywhere the order is observable (tree
-   enumeration). *)
-type index = {
-  nn : int;
-  term_pairs : (int * char) array;  (* terminal rules (lhs, c), rule order *)
-  term_by_lhs : string array;       (* chars of lhs's terminal rules *)
-  bin_by_lhs : (int * int) array array;  (* (b, c) pairs per lhs, rule order *)
-  (* binary rules grouped by rhs pair: ((b, c), all lhs with a -> b c).
-     Grouping lets one split compute the product left(b)·right(c) once and
-     credit every lhs sharing the pair. *)
-  bin_groups : ((int * int) * int array) array;
-}
-
-let make_index g =
-  let nn = nonterminal_count g in
-  let term = ref [] and bin = ref [] in
-  List.iter
-    (fun { lhs; rhs } ->
-       match rhs with
-       | [ T c ] -> term := (lhs, c) :: !term
-       | [ N b; N c ] -> bin := (lhs, b, c) :: !bin
-       | _ -> ())
-    (rules g);
-  let term_pairs = Array.of_list (List.rev !term) in
-  let bin = List.rev !bin in
-  let term_by_lhs = Array.make nn "" in
-  Array.iter
-    (fun (a, c) -> term_by_lhs.(a) <- term_by_lhs.(a) ^ String.make 1 c)
-    term_pairs;
-  let by_lhs = Array.make nn [] in
-  let groups : (int * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let group_order = ref [] in
-  List.iter
-    (fun (a, b, c) ->
-       by_lhs.(a) <- (b, c) :: by_lhs.(a);
-       match Hashtbl.find_opt groups (b, c) with
-       | Some l -> l := a :: !l
-       | None ->
-         Hashtbl.add groups (b, c) (ref [ a ]);
-         group_order := (b, c) :: !group_order)
-    bin;
-  {
-    nn;
-    term_pairs;
-    term_by_lhs;
-    bin_by_lhs = Array.map (fun l -> Array.of_list (List.rev l)) by_lhs;
-    bin_groups =
-      List.rev_map
-        (fun bc ->
-           (bc, Array.of_list (List.rev !(Hashtbl.find groups bc))))
-        !group_order
-      |> Array.of_list;
-  }
-
-(* Bounded memo keyed on the grammar id; grammars are constructed freely
-   (every [Trim.trim] mints one), so the cache is reset rather than grown
-   without bound.  Pool workers share it, hence the mutex. *)
-let index_cache : (int, index) Hashtbl.t = Hashtbl.create 16
-let index_cache_mutex = Mutex.create ()
-let index_cache_cap = 128
-
-let compile g =
-  let gid = Grammar.id g in
-  Mutex.lock index_cache_mutex;
-  match Hashtbl.find_opt index_cache gid with
-  | Some idx ->
-    Mutex.unlock index_cache_mutex;
-    idx
-  | None ->
-    Mutex.unlock index_cache_mutex;
-    let idx = make_index g in
-    Mutex.lock index_cache_mutex;
-    if Hashtbl.length index_cache >= index_cache_cap then
-      Hashtbl.reset index_cache;
-    Hashtbl.replace index_cache gid idx;
-    Mutex.unlock index_cache_mutex;
-    idx
-
-(* --- the counting kernel ----------------------------------------------- *)
-
 (* counts.(pos).(len-1).(a) = number of parse trees of w[pos..pos+len-1]
-   rooted at a.  The kernel runs on native ints — ambiguity checking only
-   needs small counts — and rebuilds in big integers iff a count overflows. *)
+   rooted at a: {!Weighted}'s span chart, filled on overflow-checked
+   native ints — ambiguity checking only needs small counts — and refilled
+   in big integers iff a count overflows.  The grammar's rule index is
+   compiled once and memoised on {!Grammar.id} by {!Weighted.index}. *)
 type counts =
   | Ints of int array array array
   | Bigs of Bignum.t array array array
 
-type table = { g : Grammar.t; idx : index; w : string; counts : counts }
+type table = {
+  g : Grammar.t;
+  idx : Weighted.index;
+  w : string;
+  counts : counts;
+}
 
-exception Int_overflow
-
-let add_i a b =
-  let s = a + b in
-  if s < 0 then raise_notrace Int_overflow else s
-
-let mul_i a b =
-  if a > max_int / b then raise_notrace Int_overflow else a * b
-
-let build_counts_int guard idx w =
-  let n = String.length w in
-  let counts =
-    Array.init n (fun pos -> Array.init (n - pos) (fun _ -> Array.make idx.nn 0))
-  in
-  for pos = 0 to n - 1 do
-    Array.iter
-      (fun (a, c) ->
-         if Char.equal w.[pos] c then
-           counts.(pos).(0).(a) <- counts.(pos).(0).(a) + 1)
-      idx.term_pairs
-  done;
-  for len = 2 to n do
-    for pos = 0 to n - len do
-      Ucfg_exec.Guard.tick guard;
-      let cell = counts.(pos).(len - 1) in
-      for split = 1 to len - 1 do
-        let left = counts.(pos).(split - 1) in
-        let right = counts.(pos + split).(len - split - 1) in
-        Array.iter
-          (fun ((b, c), lhss) ->
-             let lb = left.(b) in
-             if lb > 0 then begin
-               let rc = right.(c) in
-               if rc > 0 then begin
-                 let p = mul_i lb rc in
-                 Array.iter (fun a -> cell.(a) <- add_i cell.(a) p) lhss
-               end
-             end)
-          idx.bin_groups
-      done
-    done
-  done;
-  counts
-
-let build_counts_big guard idx w =
-  let n = String.length w in
-  let counts =
-    Array.init n (fun pos ->
-        Array.init (n - pos) (fun _ -> Array.make idx.nn Bignum.zero))
-  in
-  for pos = 0 to n - 1 do
-    Array.iter
-      (fun (a, c) ->
-         if Char.equal w.[pos] c then
-           counts.(pos).(0).(a) <- Bignum.add counts.(pos).(0).(a) Bignum.one)
-      idx.term_pairs
-  done;
-  for len = 2 to n do
-    for pos = 0 to n - len do
-      Ucfg_exec.Guard.tick guard;
-      let cell = counts.(pos).(len - 1) in
-      for split = 1 to len - 1 do
-        let left = counts.(pos).(split - 1) in
-        let right = counts.(pos + split).(len - split - 1) in
-        Array.iter
-          (fun ((b, c), lhss) ->
-             if Bignum.sign left.(b) > 0 && Bignum.sign right.(c) > 0 then begin
-               let p = Bignum.mul left.(b) right.(c) in
-               Array.iter (fun a -> cell.(a) <- Bignum.add cell.(a) p) lhss
-             end)
-          idx.bin_groups
-      done
-    done
-  done;
-  counts
+module Int_chart = Weighted.Make (Semiring.Checked_int)
+module Big_chart = Weighted.Make (Semiring.Counting)
 
 let build_with idx g w =
-  (* the guard is polled once per DP cell, in either number system *)
-  let guard = Ucfg_exec.Exec.current_guard () in
   let counts =
-    match build_counts_int guard idx w with
+    match Int_chart.chart idx w with
     | c -> Ints c
-    | exception Int_overflow -> Bigs (build_counts_big guard idx w)
+    | exception Semiring.Checked_int.Overflow -> Bigs (Big_chart.chart idx w)
   in
   { g; idx; w; counts }
 
 let build g w =
   if not (Grammar.is_cnf g) then invalid_arg "Cyk.build: grammar not in CNF";
-  build_with (compile g) g w
+  build_with (Weighted.index g) g w
 
 let count_at t pos len a =
   match t.counts with
@@ -210,7 +56,7 @@ let count_trees_batch g ws =
   (* one CNF check, one compiled index, thousands of words *)
   if not (Grammar.is_cnf g) then
     invalid_arg "Cyk.count_trees_batch: grammar not in CNF";
-  let idx = compile g in
+  let idx = Weighted.index g in
   List.map
     (fun w ->
        if String.length w = 0 then start_epsilon_count g
@@ -229,19 +75,18 @@ let derivable t a pos len =
   && positive_at t pos len a
 
 (* Enumerate parse trees from a filled table, lazily, capped by the
-   caller.  The index arrays preserve rule order, so trees come out in the
-   same order the unindexed scan produced them. *)
+   caller, in rule order. *)
 let trees_of_cell t a pos len =
-  let idx = t.idx in
   let rec gen a pos len : Parse_tree.t Seq.t =
     if len = 1 then
       (* terminal rule, and possibly binary rules do not apply at len 1 *)
-      if String.contains idx.term_by_lhs.(a) t.w.[pos] then
+      if Grammar.has_rule t.g a [ T t.w.[pos] ] then
         Seq.return (Parse_tree.Node (a, [ Parse_tree.Leaf t.w.[pos] ]))
       else Seq.empty
     else
-      Array.to_seq idx.bin_by_lhs.(a)
-      |> Seq.concat_map (fun (b, c) ->
+      List.to_seq (rules_of t.g a)
+      |> Seq.concat_map (function
+        | [ N b; N c ] ->
           Seq.init (len - 1) (fun i -> i + 1)
           |> Seq.concat_map (fun split ->
               if derivable t b pos split && derivable t c (pos + split) (len - split)
@@ -252,7 +97,8 @@ let trees_of_cell t a pos len =
                        (fun rt -> Parse_tree.Node (a, [ lt; rt ]))
                        (gen c (pos + split) (len - split)))
                   (gen b pos split)
-              else Seq.empty))
+              else Seq.empty)
+        | _ -> Seq.empty)
   in
   gen a pos len
 

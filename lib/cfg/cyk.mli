@@ -3,7 +3,9 @@
     Counting parse trees per word is the workhorse behind the unambiguity
     checks and behind the #P-flavoured experiments: for a CNF grammar the
     number of parse trees of a word is a simple O(|w|³·|G|) dynamic
-    program with big-integer entries. *)
+    program.  The table here is {!Weighted}'s one CNF span chart, filled
+    at {!Semiring.Checked_int} and refilled at {!Semiring.Counting} only
+    when a count overflows the int range. *)
 
 module Bignum = Ucfg_util.Bignum
 
@@ -18,10 +20,10 @@ val recognize : Grammar.t -> string -> bool
 
 (** [count_trees g w] is the number of parse trees of [w] in [g].
 
-    The table is filled through a rule index compiled once per grammar
-    (memoised on {!Grammar.id}) and counted on native ints, escaping to
-    big integers only when a count overflows — results are identical
-    either way. *)
+    The chart is filled through {!Weighted.index}, compiled once per
+    grammar (memoised on {!Grammar.id}), and counted on native ints,
+    escaping to big integers only when a count overflows — results are
+    identical either way. *)
 val count_trees : Grammar.t -> string -> Bignum.t
 
 (** [count_trees_batch g ws] is [List.map (count_trees g) ws], but the CNF

@@ -4,49 +4,25 @@ module Bignum = Ucfg_util.Bignum
 type t = {
   g : Grammar.t;
   max_len : int;
-  (* counts.(a).(l) = derivations of words of length l from a (l >= 1) *)
+  (* counts.(l).(a) = derivations of words of length l from a: the
+     per-length table of {!Weighted} (column 0 holds the start ε-rule) *)
   counts : Bignum.t array array;
-  has_eps : bool;  (** start ε-rule *)
 }
+
+module Counts = Weighted.Make (Semiring.Counting)
 
 let create g ~max_len =
   if not (Grammar.is_cnf g) then
     invalid_arg "Direct_access.create: grammar not in CNF";
   if max_len < 0 then invalid_arg "Direct_access.create: negative max_len";
-  let nn = nonterminal_count g in
-  let counts = Array.make_matrix nn (max_len + 1) Bignum.zero in
-  List.iter
-    (fun { lhs; rhs } ->
-       match rhs with
-       | [ T _ ] when max_len >= 1 ->
-         counts.(lhs).(1) <- Bignum.add counts.(lhs).(1) Bignum.one
-       | _ -> ())
-    (rules g);
-  let bin =
-    List.filter_map
-      (fun { lhs; rhs } ->
-         match rhs with [ N b; N c ] -> Some (lhs, b, c) | _ -> None)
-      (rules g)
-  in
-  for len = 2 to max_len do
-    List.iter
-      (fun (a, b, c) ->
-         let acc = ref counts.(a).(len) in
-         for k = 1 to len - 1 do
-           acc := Bignum.add !acc (Bignum.mul counts.(b).(k) counts.(c).(len - k))
-         done;
-         counts.(a).(len) <- !acc)
-      bin
-  done;
-  { g; max_len; counts; has_eps = Grammar.has_rule g (start g) [] }
+  { g; max_len; counts = Counts.length_table g max_len }
 
 let grammar t = t.g
 let max_len t = t.max_len
 
 let count_length t len =
   if len < 0 || len > t.max_len then Bignum.zero
-  else if len = 0 then if t.has_eps then Bignum.one else Bignum.zero
-  else t.counts.(start t.g).(len)
+  else t.counts.(len).(start t.g)
 
 let total t =
   Bignum.sum
@@ -69,8 +45,8 @@ let rec word_at t a l idx =
          | [ N b; N c ] ->
            let k = ref 1 in
            while !result = None && !k <= l - 1 do
-             let cnt_b = t.counts.(b).(!k) in
-             let cnt_c = t.counts.(c).(l - !k) in
+             let cnt_b = t.counts.(!k).(b) in
+             let cnt_c = t.counts.(l - !k).(c) in
              let cnt = Bignum.mul cnt_b cnt_c in
              if Bignum.compare !remaining cnt < 0 then begin
                let idx_b, idx_c = Bignum.divmod !remaining cnt_c in
@@ -104,7 +80,8 @@ let nth t i =
 let rank t w =
   let l = String.length w in
   if l > t.max_len then None
-  else if l = 0 then if t.has_eps then Some Bignum.zero else None
+  else if l = 0 then
+    if Bignum.is_zero (count_length t 0) then None else Some Bignum.zero
   else begin
     let table = Cyk.build t.g w in
     if not (Cyk.derivable table (start t.g) 0 l) then None
@@ -125,8 +102,8 @@ let rank t w =
                | [ N b; N c ] ->
                  let k = ref 1 in
                  while !result = None && !k <= len - 1 do
-                   let cnt_b = t.counts.(b).(!k) in
-                   let cnt_c = t.counts.(c).(len - !k) in
+                   let cnt_b = t.counts.(!k).(b) in
+                   let cnt_c = t.counts.(len - !k).(c) in
                    if
                      Cyk.derivable table b pos !k
                      && Cyk.derivable table c (pos + !k) (len - !k)

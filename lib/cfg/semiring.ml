@@ -6,6 +6,7 @@ module type S = sig
   val plus : t -> t -> t
   val times : t -> t -> t
   val equal : t -> t -> bool
+  val is_zero : t -> bool
   val pp : Format.formatter -> t -> unit
 end
 
@@ -17,6 +18,7 @@ module Boolean = struct
   let plus = ( || )
   let times = ( && )
   let equal = Bool.equal
+  let is_zero b = not b
   let pp fmt b = Format.pp_print_bool fmt b
 end
 
@@ -30,7 +32,31 @@ module Counting = struct
   let plus = B.add
   let times = B.mul
   let equal = B.equal
+  let is_zero = B.is_zero
   let pp = B.pp
+end
+
+module Checked_int = struct
+  type t = int
+
+  exception Overflow
+
+  let zero = 0
+  let one = 1
+
+  (* operands are non-negative counts, so a negative sum is a wrap *)
+  let plus a b =
+    let s = a + b in
+    if s < 0 then raise_notrace Overflow else s
+
+  let times a b =
+    if a = 0 || b = 0 then 0
+    else if a > max_int / b then raise_notrace Overflow
+    else a * b
+
+  let equal = Int.equal
+  let is_zero v = v = 0
+  let pp = Format.pp_print_int
 end
 
 module Tropical = struct
@@ -48,6 +74,7 @@ module Tropical = struct
     match (a, b) with None, _ | _, None -> None | Some a, Some b -> Some (a + b)
 
   let equal = ( = )
+  let is_zero = Option.is_none
 
   let pp fmt = function
     | None -> Format.pp_print_string fmt "∞"
@@ -62,6 +89,7 @@ module Inside = struct
   let plus = ( +. )
   let times = ( *. )
   let equal a b = Float.abs (a -. b) < 1e-12
+  let is_zero v = v = 0.
   let pp fmt v = Format.fprintf fmt "%g" v
 end
 
@@ -98,6 +126,8 @@ module Polynomial = struct
   let degree p =
     let rec go i = if i >= 0 && B.is_zero p.(i) then go (i - 1) else i in
     go (Array.length p - 1)
+
+  let is_zero p = degree p < 0
 
   let equal a b =
     let da = degree a and db = degree b in
@@ -136,6 +166,7 @@ module Provenance = struct
     |> List.sort compare
 
   let equal a b = List.sort compare a = List.sort compare b
+  let is_zero = function [] -> true | _ :: _ -> false
 
   let pp fmt t =
     Format.fprintf fmt "{%s}"

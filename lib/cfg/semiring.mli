@@ -3,8 +3,10 @@
     The factorised-representation literature the paper builds on uses the
     same circuits for provenance (Olteanu–Závodný [28]): evaluating a
     representation over different semirings answers different questions.
-    {!Weighted} runs CYK over any of these; recognition, tree counting,
-    best-derivation and inside-probability all become instances. *)
+    {!Weighted} runs its one CNF span chart and its one per-length table
+    over any of these; recognition, tree counting, best-derivation and
+    inside-probability all become instances, and {!Cyk} and {!Count_word}
+    count on {!Checked_int} with {!Counting} as the overflow escape. *)
 
 module type S = sig
   type t
@@ -18,6 +20,12 @@ module type S = sig
   val plus : t -> t -> t
   val times : t -> t -> t
   val equal : t -> t -> bool
+
+  val is_zero : t -> bool
+  (** [is_zero v] holds exactly when [v] is {!zero}, so the dynamic
+      programs can skip a product without changing any result; cheaper
+      than [equal v zero] where equality normalises. *)
+
   val pp : Format.formatter -> t -> unit
 end
 
@@ -26,6 +34,16 @@ module Boolean : S with type t = bool
 
 (** Derivation counting: + / × over big integers. *)
 module Counting : S with type t = Ucfg_util.Bignum.t
+
+(** Derivation counting on native ints: + / × over non-negative counts,
+    raising {!Checked_int.Overflow} where the result would leave the int
+    range.  The counting DPs run here first and re-run at {!Counting} on
+    overflow, so their results equal {!Counting}'s either way. *)
+module Checked_int : sig
+  include S with type t = int
+
+  exception Overflow
+end
 
 (** Min-plus (tropical): cheapest derivation; [None] is +∞. *)
 module Tropical : S with type t = int option

@@ -1013,6 +1013,93 @@ let prop_derivations_dominate_words =
        let words = Count.words_by_enumeration g in
        BN.compare derivs words >= 0)
 
+(* --- the brute-force counting oracle ----------------------------------- *)
+
+(* Every counting entry point is checked against one independent oracle:
+   [Enumerate.trees] grouped by yield.  [census g] maps each word to its
+   number of parse trees, and returns the longest yield. *)
+let census g =
+  let tbl = Hashtbl.create 64 and longest = ref 0 in
+  Seq.iter
+    (fun t ->
+       let w = Parse_tree.yield t in
+       longest := max !longest (String.length w);
+       Hashtbl.replace tbl w
+         (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w)))
+    (Enumerate.trees g);
+  (tbl, !longest)
+
+let oracle_count tbl w = Option.value ~default:0 (Hashtbl.find_opt tbl w)
+
+let words_upto n =
+  Seq.concat_map
+    (Word.enumerate Alphabet.binary)
+    (List.to_seq (Ucfg_util.Prelude.range_incl 0 n))
+
+(* the oracle's cap: grammars with more trees or longer words are skipped
+   so that enumeration stays cheap *)
+let oracle_sized g =
+  BN.compare (Analysis.count_trees_total g) (BN.of_int 4000) <= 0
+  && (let _, longest = census g in longest <= 8)
+
+(* the general-grammar entry points: per-word counts and the total *)
+let general_counts_agree g =
+  let tbl, longest = census g in
+  let total = Hashtbl.fold (fun _ k acc -> acc + k) tbl 0 in
+  BN.equal (Analysis.count_trees_total g) (BN.of_int total)
+  && Seq.for_all
+    (fun w -> BN.equal (Count_word.trees g w) (BN.of_int (oracle_count tbl w)))
+    (words_upto (longest + 1))
+
+(* the CNF entry points: per-word counts, recognition and per-length
+   counts, enumerated on the CNF grammar itself *)
+let cnf_counts_agree c =
+  let tbl, longest = census c in
+  let max_len = longest + 1 in
+  let by_len = Array.make (max_len + 1) 0 in
+  Hashtbl.iter
+    (fun w k -> by_len.(String.length w) <- by_len.(String.length w) + k)
+    tbl;
+  let da = Direct_access.create c ~max_len in
+  let derivs = Count.derivations_by_length c max_len in
+  Seq.for_all
+    (fun w ->
+       let k = BN.of_int (oracle_count tbl w) in
+       BN.equal (Count_word.trees c w) k
+       && BN.equal (Cyk.count_trees c w) k
+       && BN.equal (WCount.word_weight c w) k
+       && WBool.word_weight c w = (oracle_count tbl w > 0)
+       && Cyk.recognize c w = (oracle_count tbl w > 0))
+    (words_upto max_len)
+  && List.for_all
+    (fun l ->
+       let k = BN.of_int by_len.(l) in
+       BN.equal (WCount.length_weight c l) k
+       && BN.equal derivs.(l) k
+       && BN.equal (Direct_access.count_length da l) k)
+    (Ucfg_util.Prelude.range_incl 0 max_len)
+
+let prop_counting_oracle_general =
+  QCheck.Test.make ~name:"general counts = enumerated trees (and on its CNF)"
+    ~count:100 arb_seed
+    (fun seed ->
+       let rng = Ucfg_util.Rng.create seed in
+       let g =
+         Random_grammar.general rng ~nonterminals:4 ~max_rules:4 ~max_rhs_len:3
+       in
+       let c = Cnf.of_grammar g in
+       QCheck.assume (oracle_sized g && oracle_sized c);
+       general_counts_agree g && cnf_counts_agree c)
+
+let prop_counting_oracle_fixed_length =
+  QCheck.Test.make ~name:"fixed-length CNF counts = enumerated trees"
+    ~count:40 arb_seed
+    (fun seed ->
+       let rng = Ucfg_util.Rng.create seed in
+       let g = Random_grammar.fixed_length rng ~word_len:5 ~variants:3 in
+       QCheck.assume (G.is_cnf g && oracle_sized g);
+       general_counts_agree g && cnf_counts_agree g)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1022,6 +1109,8 @@ let qtests =
       prop_fixed_length_grammar_is_fixed_length;
       prop_earley_equals_membership;
       prop_derivations_dominate_words;
+      prop_counting_oracle_general;
+      prop_counting_oracle_fixed_length;
     ]
 
 let () =
