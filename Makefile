@@ -42,6 +42,8 @@ lint: build
 	! $(CLI) lint --from-file examples/grammars/ambiguous_dup.cfg
 	@echo "-- Theorem 1(2) NFA (ambiguous: lint must exit 1)"
 	! $(CLI) lint --nfa -n 6
+	@echo "-- a guard trip in the semantic tier: partial report, exit 124"
+	$(CLI) lint --kind example4 -n 4 --semantic --budget 3; test $$? -eq 124
 
 smoke: build
 	$(BENCH) --smoke
@@ -124,6 +126,12 @@ search-resume-smoke: build
 	    _build/resume/$$f.json > _build/resume/$$f.fields; \
 	done
 	diff _build/resume/final.fields _build/resume/whole.fields
+	@# a checkpoint path outside ASCII must still come out as valid JSON
+	@$(CLI) search -n 2 --max-nonterminals 2 --budget 80000 \
+	  --checkpoint-dir _build/resume/cké --json > _build/resume/utf8.json; \
+	st=$$?; if [ $$st -ne 124 ]; then \
+	  echo "search-resume-smoke: expected exit 124, got $$st"; exit 1; fi
+	python3 -m json.tool _build/resume/utf8.json > /dev/null
 	@echo "search-resume-smoke: OK"
 
 # dogfood `ucfg check` on the examples/ grammar pairs: every exit code is
@@ -157,6 +165,14 @@ check-smoke: build
 	$(CLI) check --kind log -n 4 --equiv trivial:4 --json --jobs 4 \
 	  > _build/determinism/check4.json
 	diff _build/determinism/check1.json _build/determinism/check4.json
+	@echo "-- the CLI's JSON verdict is byte for byte the daemon's check result"
+	echo '{"op": "check", "property": "equiv", "kind": "log", "n": 4, "kind2": "trivial", "n2": 4}' \
+	  | $(CLI) serve --stdin --no-disk-cache > _build/determinism/serve.json
+	python3 -c 'import json, sys; s = open(sys.argv[1]).read(); \
+	  i = s.index("\"result\": ") + len("\"result\": "); \
+	  _, j = json.JSONDecoder().raw_decode(s, i); print(s[i:j])' \
+	  _build/determinism/serve.json > _build/determinism/serve_result.json
+	diff _build/determinism/check1.json _build/determinism/serve_result.json
 	@echo "check-smoke: OK"
 
 # the serving gate: a daemon on a unix socket, bombarded with the smoke

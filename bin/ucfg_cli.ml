@@ -7,6 +7,9 @@ open Ucfg_lang
 open Ucfg_cfg
 open Ucfg_core
 module Bignum = Ucfg_util.Bignum
+module Diag = Ucfg_lint.Diag
+module Json = Ucfg_serve.Json
+module Verbs = Ucfg_serve.Verbs
 
 let n_arg =
   Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Language parameter n.")
@@ -62,34 +65,19 @@ let common_term = Term.(const (fun () () -> ()) $ jobs_term $ guard_term)
    recorded in bombard reports *)
 let version = "1.3.0"
 
-(* guard trips and malformed inputs render as the linter's diagnostics:
-   stable code, severity, message, optional hint — same text and JSON
-   shape everywhere.  The constructors live in [Ucfg_lint.Diag] so the
-   serve daemon's per-request error responses share them. *)
-let interrupt_diag = Ucfg_lint.Diag.interrupted
-let input_diag = Ucfg_lint.Diag.invalid_input
+let kind_names = List.map fst Constructions.kinds
 
 let kind_arg =
-  let kinds =
-    [ ("log", `Log); ("example3", `Example3); ("example4", `Example4);
-      ("trivial", `Trivial) ]
-  in
   Arg.(
     value
-    & opt (enum kinds) `Log
+    & opt (enum (List.map (fun k -> (k, k)) kind_names)) "log"
     & info [ "kind" ] ~docv:"KIND"
         ~doc:
           "Grammar construction: $(b,log) (Appendix A), $(b,example3) (the \
            KMN grammar, n interpreted as t), $(b,example4) (the unambiguous \
            grammar), $(b,trivial) (one rule per word).")
 
-let build_grammar kind n =
-  match kind with
-  | `Log -> Constructions.log_cfg n
-  | `Example3 -> Constructions.example3 n
-  | `Example4 -> Constructions.example4 n
-  | `Trivial ->
-    Constructions.of_language Ucfg_word.Alphabet.binary (Ln.language n)
+let build_grammar kind n = (List.assoc kind Constructions.kinds) ?guard:None n
 
 let load_grammar path =
   let ic = open_in path in
@@ -138,9 +126,7 @@ let grammar_cmd =
     if check then begin
       (if from_file = None then begin
          let expected =
-           match kind with
-           | `Example3 -> Ln.language ((1 lsl n) + 1)
-           | _ -> Ln.language n
+           Ln.language (if kind = "example3" then (1 lsl n) + 1 else n)
          in
          let actual = Analysis.language_exn g in
          Printf.printf "accepts L_n exactly: %b\n" (Lang.equal expected actual)
@@ -354,9 +340,9 @@ let lint_cmd =
       let print_registry title checks =
         Printf.printf "%s\n" title;
         List.iter
-          (fun (c : Ucfg_lint.Diag.check) ->
+          (fun (c : Diag.check) ->
              Printf.printf "  %s  %-11s %s\n" c.code
-               (Ucfg_lint.Diag.soundness_label c.soundness)
+               (Diag.soundness_label c.soundness)
                c.title)
           checks
       in
@@ -376,9 +362,11 @@ let lint_cmd =
         Ucfg_lint.Grammar_lint.run ~semantic g
       end
     in
-    if json then print_endline (Ucfg_lint.Diag.list_to_json diags)
-    else Format.printf "%a@." Ucfg_lint.Diag.pp_report diags;
-    exit (if Ucfg_lint.Diag.has_errors diags then 1 else 0)
+    if json then print_endline (Diag.list_to_json diags)
+    else Format.printf "%a@." Diag.pp_report diags;
+    (* a semantic tier cut short by the guard reports a partial verdict,
+       then exits 124 like the daemon's answer to the same request *)
+    exit (Verbs.exit_code diags)
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
@@ -419,30 +407,25 @@ module SL = Ucfg_lint.Semantic_lint
 (* A comparison grammar: a Grammar_io file path, or [kind:N] naming one of
    the built-in constructions (e.g. [log:4], [trivial:4]). *)
 let load_spec spec =
-  let built =
+  let kind_n =
     match String.index_opt spec ':' with
     | None -> None
     | Some i ->
-      let kind = String.sub spec 0 i
-      and rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-      (match
-         ( List.assoc_opt kind
-             [ ("log", `Log); ("example3", `Example3);
-               ("example4", `Example4); ("trivial", `Trivial) ],
-           int_of_string_opt rest )
-       with
-       | Some k, Some n -> Some (build_grammar k n)
-       | _ -> None)
+      let kind = String.sub spec 0 i in
+      let n = String.sub spec (i + 1) (String.length spec - i - 1) in
+      if List.mem kind kind_names then
+        Option.map (fun n -> (kind, n)) (int_of_string_opt n)
+      else None
   in
-  match built with
-  | Some g -> g
+  match kind_n with
+  | Some (kind, n) -> build_grammar kind n
   | None ->
     if Sys.file_exists spec then load_grammar spec
     else
       failwith
         (Printf.sprintf
            "grammar spec %S is neither a readable file nor KIND:N (KIND one \
-            of log, example3, example4, trivial)" spec)
+            of %s)" spec (String.concat ", " kind_names))
 
 let check_cmd =
   let run () kind n from_file universal includes equiv disjoint cross_check
@@ -453,89 +436,49 @@ let check_cmd =
       | None -> build_grammar kind n
     in
     let props =
-      (if universal then [ `Universal ] else [])
-      @ (match includes with Some s -> [ `Includes s ] | None -> [])
-      @ (match equiv with Some s -> [ `Equiv s ] | None -> [])
-      @ (match disjoint with Some s -> [ `Disjoint s ] | None -> [])
+      (if universal then [ ("universal", None) ] else [])
+      @ List.filter_map
+          (fun (name, spec) -> Option.map (fun s -> (name, Some s)) spec)
+          [ ("includes", includes); ("equiv", equiv); ("disjoint", disjoint) ]
     in
     match props with
-    | [ prop ] ->
-      let name, report =
-        match prop with
-        | `Universal -> ("universal", SL.universal ~cross_check g1)
-        | `Includes s -> ("includes", SL.includes ~cross_check g1 (load_spec s))
-        | `Equiv s -> ("equiv", SL.equiv ~cross_check g1 (load_spec s))
-        | `Disjoint s -> ("disjoint", SL.disjoint ~cross_check g1 (load_spec s))
+    | [ (property, spec) ] ->
+      let report =
+        Verbs.check_report ~cross_check ~property g1
+          (Option.map load_spec spec)
       in
       let diags = SL.to_diags report in
-      let backend =
-        match report.SL.backend with
-        | SL.Counting -> "count"
-        | SL.Packed -> "packed"
-        | SL.Mixed -> "mixed"
-      in
       let big = function Some b -> Bignum.to_string b | None -> "?" in
-      if json then begin
-        let status, reason =
-          match report.SL.status with
-          | SL.Holds -> ("holds", "null")
-          | SL.Fails _ -> ("fails", "null")
-          | SL.Interrupted r ->
-            ( "interrupted",
-              Printf.sprintf "%S" (Ucfg_exec.Guard.reason_code r) )
-        in
-        let opt_big = function
-          | Some b -> Printf.sprintf "\"%s\"" (Bignum.to_string b)
-          | None -> "null"
-        in
-        let witness =
-          match report.SL.status with
-          | SL.Fails cex ->
-            Printf.sprintf
-              "{ \"word\": %S, \"in_first\": %b, \"in_second\": %b }"
-              cex.SL.word cex.SL.in_first cex.SL.in_second
-          | _ -> "null"
-        in
-        Printf.printf
-          "{ \"property\": %S, \"status\": %S, \"reason\": %s, \
-           \"backend\": %S, \"vacuous\": %b, \"cardinal\": %s, \
-           \"cardinal2\": %s, \"witness\": %s, \"diagnostics\": %s }\n"
-          name status reason backend report.SL.vacuous
-          (opt_big report.SL.cardinal)
-          (opt_big report.SL.cardinal2)
-          witness
-          (Ucfg_lint.Diag.list_to_json diags)
-      end
+      if json then
+        (* the daemon's [check] result payload, byte for byte *)
+        print_endline (Json.to_string (Verbs.check_result property report))
       else begin
         (match report.SL.status with
          | SL.Holds ->
-           Printf.printf "check %s: HOLDS%s\n" name
+           Printf.printf "check %s: HOLDS%s\n" property
              (if report.SL.vacuous then " (vacuously)" else "")
          | SL.Fails cex ->
-           Printf.printf "check %s: FAILS\n" name;
-           if not (report.SL.vacuous && prop = `Universal) then
+           Printf.printf "check %s: FAILS\n" property;
+           if not (report.SL.vacuous && property = "universal") then
              Printf.printf
                "witness: %S (in L(G1): %b, in comparison language: %b)\n"
                cex.SL.word cex.SL.in_first cex.SL.in_second
          | SL.Interrupted r ->
-           Printf.printf "check %s: INTERRUPTED (%s)\n" name
+           Printf.printf "check %s: INTERRUPTED (%s)\n" property
              (Ucfg_exec.Guard.reason_code r));
-        Printf.printf "backend: %s\n|L(G1)| = %s\n|comparison| = %s\n" backend
-          (big report.SL.cardinal) (big report.SL.cardinal2);
-        if diags <> [] then
-          Format.printf "%a@." Ucfg_lint.Diag.pp_report diags
+        Printf.printf "backend: %s\n|L(G1)| = %s\n|comparison| = %s\n"
+          (Verbs.backend_name report) (big report.SL.cardinal)
+          (big report.SL.cardinal2);
+        if diags <> [] then Format.printf "%a@." Diag.pp_report diags
       end;
-      exit
-        (match report.SL.status with
-         | SL.Interrupted _ -> 124
-         | _ -> if Ucfg_lint.Diag.has_errors diags then 1 else 0)
+      exit (Verbs.exit_code diags)
     | _ ->
       let d =
-        input_diag
+        Diag.invalid_input
           "pass exactly one of --universal, --includes, --equiv, --disjoint"
       in
-      if json then print_endline (Ucfg_lint.Diag.list_to_json [ d ])
-      else Format.printf "%a@." Ucfg_lint.Diag.pp_report [ d ];
+      if json then print_endline (Diag.list_to_json [ d ])
+      else Format.printf "%a@." Diag.pp_report [ d ];
       exit 2
   in
   let universal_arg =
@@ -622,7 +565,7 @@ let search_cmd =
     in
     let warn_diags =
       match r.Search.checkpoint_warning with
-      | Some reason -> [ Ucfg_lint.Diag.checkpoint_corrupt reason ]
+      | Some reason -> [ Diag.checkpoint_corrupt reason ]
       | None -> []
     in
     match r.Search.interrupted with
@@ -630,21 +573,22 @@ let search_cmd =
       (* the guard tripped mid-search: report the partial progress the
          same way in text and JSON, then exit 124 like a trip anywhere
          else in the pipeline would *)
-      let diags = interrupt_diag reason :: warn_diags in
+      let diags = Diag.interrupted reason :: warn_diags in
       if json then
-        Printf.printf
-          "{ \"interrupted\": \"%s\", \"nodes_explored\": %d, \
-           \"nodes_exact\": false, \"checkpoint\": %s, \"resumed\": %b, \
-           \"diagnostics\": %s }\n"
-          (Ucfg_exec.Guard.reason_code reason)
-          r.Search.nodes_explored
-          (match r.Search.checkpoint_written with
-           | Some path -> Printf.sprintf "%S" path
-           | None -> "null")
-          r.Search.resumed
-          (Ucfg_lint.Diag.list_to_json diags)
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [ ("interrupted", Json.Str (Ucfg_exec.Guard.reason_code reason));
+                  ("nodes_explored", Json.Int r.Search.nodes_explored);
+                  ("nodes_exact", Json.Bool false);
+                  ("checkpoint",
+                   match r.Search.checkpoint_written with
+                   | Some path -> Json.Str path
+                   | None -> Json.Null);
+                  ("resumed", Json.Bool r.Search.resumed);
+                  ("diagnostics", Json.Raw (Diag.list_to_json diags)) ]))
       else begin
-        Format.printf "%a@." Ucfg_lint.Diag.pp_report diags;
+        Format.printf "%a@." Diag.pp_report diags;
         Printf.printf
           "partial nodes explored: %d (approximate: scheduling-dependent \
            under --jobs > 1)\n"
@@ -658,22 +602,24 @@ let search_cmd =
       exit 124
     | None ->
       if json then
-        Printf.printf
-          "{ \"minimal_size\": %s, \"nodes_explored\": %d, \
-           \"budget_exhausted\": %b, \"memo_hits\": %d, \"memo_misses\": %d, \
-           \"resumed\": %b%s }\n"
-          (match r.Search.minimal_size with
-           | Some s -> string_of_int s
-           | None -> "null")
-          r.Search.nodes_explored r.Search.budget_exhausted r.Search.memo_hits
-          r.Search.memo_misses r.Search.resumed
-          (if warn_diags = [] then ""
-           else
-             Printf.sprintf ", \"diagnostics\": %s"
-               (Ucfg_lint.Diag.list_to_json warn_diags))
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                ([ ("minimal_size",
+                    match r.Search.minimal_size with
+                    | Some s -> Json.Int s
+                    | None -> Json.Null);
+                   ("nodes_explored", Json.Int r.Search.nodes_explored);
+                   ("budget_exhausted", Json.Bool r.Search.budget_exhausted);
+                   ("memo_hits", Json.Int r.Search.memo_hits);
+                   ("memo_misses", Json.Int r.Search.memo_misses);
+                   ("resumed", Json.Bool r.Search.resumed) ]
+                 @
+                 if warn_diags = [] then []
+                 else [ ("diagnostics", Json.Raw (Diag.list_to_json warn_diags)) ])))
       else begin
         if warn_diags <> [] then
-          Format.printf "%a@." Ucfg_lint.Diag.pp_report warn_diags;
+          Format.printf "%a@." Diag.pp_report warn_diags;
         (match r.Search.minimal_size, r.Search.witness with
          | Some s, Some g ->
            Printf.printf "minimal CNF size for L_%d: %d\n" n s;
@@ -978,7 +924,7 @@ let serve_cmd =
 let bombard_cmd =
   let run () socket tcp in_process cache_dir no_disk smoke profile seed
       requests dump json_out json assert_warm_hits shutdown chaos_mode
-      request_line rounds burst stall_ms oversize_bytes clients =
+      request_line rounds burst stall_ms oversize_bytes =
     let profile = if smoke then "smoke" else profile in
     let requests =
       match requests with
@@ -1003,23 +949,16 @@ let bombard_cmd =
         ~finally:(fun () -> Option.iter close_out dump_oc)
         (fun () -> f dump_oc)
     in
-    let emit_report report =
-      (match json_out with
-       | Some path ->
-         let oc = open_out path in
-         output_string oc (Bombard.to_json report);
-         output_char oc '\n';
-         close_out oc
-       | None -> ());
-      if json then print_endline (Bombard.to_json report)
-      else print_endline (Bombard.to_text report);
-      if not (Bombard.ok report) then exit 1;
-      if assert_warm_hits && report.Bombard.warm_hit_ratio <= 0. then begin
-        prerr_endline
-          "bombard: --assert-warm-hits failed (warm hit ratio is 0)";
-        exit 3
-      end
+    (* the report on stdout, and as JSON in the --json-out file *)
+    let emit to_json to_text report =
+      Option.iter
+        (fun path ->
+           Out_channel.with_open_text path (fun oc ->
+               output_string oc (to_json report ^ "\n")))
+        json_out;
+      print_endline (if json then to_json report else to_text report)
     in
+    let shutdown_line = {|{"op": "shutdown"}|} in
     match request_line, chaos_mode with
     | Some _, true -> failwith "--request and --chaos are mutually exclusive"
     | Some line, false -> (
@@ -1029,7 +968,7 @@ let bombard_cmd =
         match Bombard.one_shot tgt line with
         | Some resp ->
           print_endline resp;
-          if shutdown then ignore (Bombard.one_shot tgt {|{"op": "shutdown"}|})
+          if shutdown then ignore (Bombard.one_shot tgt shutdown_line)
         | None ->
           prerr_endline
             "bombard: no response (connection closed or timed out)";
@@ -1043,68 +982,35 @@ let bombard_cmd =
         with_dump (fun dump_oc ->
             Bombard.chaos ?dump:dump_oc ~params ~target:tgt ~seed ())
       in
-      if shutdown then ignore (Bombard.one_shot tgt {|{"op": "shutdown"}|});
-      (match json_out with
-       | Some path ->
-         let oc = open_out path in
-         output_string oc (Bombard.chaos_to_json report);
-         output_char oc '\n';
-         close_out oc
-       | None -> ());
-      if json then print_endline (Bombard.chaos_to_json report)
-      else print_endline (Bombard.chaos_to_text report);
+      if shutdown then ignore (Bombard.one_shot tgt shutdown_line);
+      emit Bombard.chaos_to_json Bombard.chaos_to_text report;
       if not (Bombard.chaos_ok report) then exit 1
-    | None, false when clients > 1 ->
-      let tgt = need_target "--clients" in
-      let report =
-        with_dump (fun dump_oc ->
-            Bombard.concurrent_run ?dump:dump_oc ~profile ~seed ~requests
-              ~clients tgt)
-      in
-      if shutdown then ignore (Bombard.one_shot tgt {|{"op": "shutdown"}|});
-      emit_report report
     | None, false ->
     let send, cleanup =
-      match socket, tcp, in_process with
-      | Some path, None, false ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        let ic = Unix.in_channel_of_descr fd
-        and oc = Unix.out_channel_of_descr fd in
-        ( (fun line ->
-             output_string oc line;
-             output_char oc '\n';
-             flush oc;
-             input_line ic),
-          fun () -> try Unix.close fd with Unix.Unix_error _ -> () )
-      | None, Some port, false ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let ic = Unix.in_channel_of_descr fd
-        and oc = Unix.out_channel_of_descr fd in
-        ( (fun line ->
-             output_string oc line;
-             output_char oc '\n';
-             flush oc;
-             input_line ic),
-          fun () -> try Unix.close fd with Unix.Unix_error _ -> () )
-      | None, None, true ->
+      match target, in_process with
+      | Some tgt, false -> Bombard.connection tgt
+      | None, true ->
         let cache_dir = if no_disk then None else Some cache_dir in
         let srv = Server.create ~cache_dir ~version () in
-        (Server.handle_line srv, fun () -> ())
+        ((fun line -> Some (Server.handle_line srv line)), fun () -> ())
       | _ ->
         failwith "pass exactly one of --socket PATH, --tcp PORT, --in-process"
     in
     let report =
       Fun.protect
         ~finally:(fun () ->
-          if shutdown then ignore (send {|{"op": "shutdown"}|});
+          if shutdown then ignore (send shutdown_line);
           cleanup ())
         (fun () ->
            with_dump (fun dump_oc ->
                Bombard.run ?dump:dump_oc ~profile ~seed ~requests send))
     in
-    emit_report report
+    emit Bombard.to_json Bombard.to_text report;
+    if not (Bombard.ok report) then exit 1;
+    if assert_warm_hits && report.Bombard.warm_hit_ratio <= 0. then begin
+      prerr_endline "bombard: --assert-warm-hits failed (warm hit ratio is 0)";
+      exit 3
+    end
   in
   let in_process_arg =
     Arg.(
@@ -1215,14 +1121,6 @@ let bombard_cmd =
             "Chaos newline-free flood size; set above the daemon's \
              --max-request-bytes to exercise R015.")
   in
-  let clients_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "clients" ] ~docv:"N"
-          ~doc:
-            "Fan the warm phase over $(docv) concurrent connections \
-             (needs --socket/--tcp when > 1).")
-  in
   Cmd.v
     (Cmd.info "bombard"
        ~doc:
@@ -1237,7 +1135,7 @@ let bombard_cmd =
       $ cache_dir_arg $ no_disk_arg $ smoke_arg $ profile_arg $ seed_arg
       $ requests_arg $ dump_arg $ json_out_arg $ json_arg $ assert_arg
       $ shutdown_arg $ chaos_arg $ request_arg $ rounds_arg $ burst_arg
-      $ stall_ms_arg $ oversize_bytes_arg $ clients_arg)
+      $ stall_ms_arg $ oversize_bytes_arg)
 
 let main_cmd =
   let doc =
@@ -1250,22 +1148,24 @@ let main_cmd =
       circuit_cmd; search_cmd; serve_cmd; bombard_cmd ]
 
 (* Exit codes: 0 success, 1 lint errors, 2 invalid input or usage,
-   124 resource-guard trip (GNU timeout convention).  [~catch:false] lets
-   library exceptions reach this handler so every failure mode renders as
-   a diagnostic instead of a backtrace; cmdliner's own cli_error (124)
-   would collide with the guard code, so usage errors are remapped to 2. *)
+   70 internal error, 124 resource-guard trip (GNU timeout convention) —
+   the daemon's per-request table ([Verbs.diagnose]), plus [Sys_error] from
+   a file argument as invalid input.  [~catch:false] lets library
+   exceptions reach this handler so every failure mode renders as a
+   diagnostic instead of a backtrace; cmdliner's own cli_error (124) would
+   collide with the guard code, so usage errors are remapped to 2. *)
 let () =
-  let render d = Format.eprintf "%a@." Ucfg_lint.Diag.pp_report [ d ] in
   let code =
     try
       let c = Cmd.eval ~catch:false main_cmd in
       if c = Cmd.Exit.cli_error then 2 else c
-    with
-    | Ucfg_exec.Guard.Interrupt reason ->
-      render (interrupt_diag reason);
-      124
-    | Invalid_argument msg | Failure msg | Sys_error msg ->
-      render (input_diag msg);
-      2
+    with exn ->
+      let diag, code =
+        match exn with
+        | Sys_error msg -> (Diag.invalid_input msg, 2)
+        | exn -> Verbs.diagnose exn
+      in
+      Format.eprintf "%a@." Diag.pp_report [ diag ];
+      code
   in
   exit code

@@ -94,9 +94,9 @@ let log_cfg n =
     B.finish b ~start:c_root
   end
 
-let example4 n =
+let example4 ?guard n =
   if n < 1 then invalid_arg "Constructions.example4: n must be >= 1";
-  let b = B.create Alphabet.binary in
+  let b = B.create ?guard Alphabet.binary in
   let s = B.fresh b "S" in
   (* C_j generates Σ^j, for 1 <= j <= n-1 *)
   let c_ = Array.make n (-1) in
@@ -202,8 +202,8 @@ let example4_literal n =
   done;
   B.finish b ~start:s
 
-let of_language alpha l =
-  let b = B.create alpha in
+let of_language ?guard alpha l =
+  let b = B.create ?guard alpha in
   let s = B.fresh b "S" in
   Lang.iter
     (fun w -> B.add_rule b s (List.init (String.length w) (fun i -> T w.[i])))
@@ -224,3 +224,13 @@ let sigma_chain alpha k =
   done;
   List.iter (fun c -> B.add_rule b nts.(k - 1) [ T c ]) (Alphabet.chars alpha);
   B.finish b ~start:nts.(0)
+
+let kinds =
+  [ ("log", fun ?guard:_ n -> log_cfg n);
+    ("example3", fun ?guard:_ t -> example3 t);
+    ("example4", example4);
+    ("trivial",
+     fun ?guard n ->
+       (* [Ln.language n], with its factorised route (n > 10) under [guard] *)
+       let l = if n <= 10 then Ln.language n else Ln.language_factored ?guard n in
+       of_language ?guard Alphabet.binary l) ]

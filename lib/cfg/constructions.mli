@@ -35,7 +35,7 @@ val log_cfg : int -> Grammar.t
       We enumerate all "a-disjoint" prefix pairs — three choices per
       position — which is exact, still unambiguous, and still of size
       [2^Θ(n)]. *)
-val example4 : int -> Grammar.t
+val example4 : ?guard:Ucfg_exec.Guard.t -> int -> Grammar.t
 
 (** [example4_literal n] is Example 4 exactly as printed in the paper,
     with the second-half prefix forced to the complement [w̄].  It is
@@ -48,8 +48,18 @@ val example4_literal : int -> Grammar.t
 
 (** [of_language alpha l] is the trivial grammar: one rule [S -> w] per
     word.  Its size is the total length of the language. *)
-val of_language : Ucfg_word.Alphabet.t -> Lang.t -> Grammar.t
+val of_language :
+  ?guard:Ucfg_exec.Guard.t -> Ucfg_word.Alphabet.t -> Lang.t -> Grammar.t
 
 (** [sigma_chain alpha k] is a grammar generating exactly [Σ^k] with a
     right-linear chain ([k >= 1]); unambiguous, size [Θ(k·|Σ|)]. *)
 val sigma_chain : Ucfg_word.Alphabet.t -> int -> Grammar.t
+
+(** The named constructions, by the name the CLI's [--kind] and [KIND:N]
+    specs and the daemon's [kind]/[kind2] fields use: [log] ({!log_cfg}),
+    [example3] ({!example3}, the parameter is [t]), [example4]
+    ({!example4}) and [trivial] ({!of_language} of [L_n]).  [guard]
+    bounds the two whose size is exponential in the parameter (default:
+    never trips), so a request naming a huge construction trips its
+    guard instead of building it. *)
+val kinds : (string * (?guard:Ucfg_exec.Guard.t -> int -> Grammar.t)) list

@@ -132,10 +132,12 @@ module Builder = struct
     mutable count : int;
     by_name : (string, int) Hashtbl.t;
     mutable rules_rev : rule list;
+    guard : Ucfg_exec.Guard.t;
   }
 
-  let create alphabet =
-    { alphabet; names_rev = []; count = 0; by_name = Hashtbl.create 64; rules_rev = [] }
+  let create ?(guard = Ucfg_exec.Guard.unlimited) alphabet =
+    { alphabet; names_rev = []; count = 0; by_name = Hashtbl.create 64;
+      rules_rev = []; guard }
 
   let fresh b name =
     let id = b.count in
@@ -149,7 +151,9 @@ module Builder = struct
     | Some id -> id
     | None -> fresh b name
 
-  let add_rule b lhs rhs = b.rules_rev <- { lhs; rhs } :: b.rules_rev
+  let add_rule b lhs rhs =
+    Ucfg_exec.Guard.tick b.guard;
+    b.rules_rev <- { lhs; rhs } :: b.rules_rev
 
   let finish b ~start =
     make ~alphabet:b.alphabet

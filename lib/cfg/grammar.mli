@@ -73,7 +73,10 @@ module Builder : sig
   type grammar := t
   type b
 
-  val create : Alphabet.t -> b
+  (** [create ?guard alpha] — [add_rule] ticks [guard] (default
+      {!Ucfg_exec.Guard.unlimited}, never the ambient guard), so a caller
+      can bound a construction whose size grows with its parameter. *)
+  val create : ?guard:Ucfg_exec.Guard.t -> Alphabet.t -> b
 
   (** [fresh b name] allocates a new nonterminal. *)
   val fresh : b -> string -> int

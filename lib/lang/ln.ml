@@ -41,10 +41,11 @@ let slice_factored n k =
    of 'a'-positions read, and all 2^n of them are distinct), exponentially
    smaller than the 4^n − 3^n words it denotes, and cardinals stay exact
    Bignum model counts.  This is what carries the E-series to n >= 16. *)
-let language_factored n =
+let language_factored ?guard n =
   if n <= 0 then invalid_arg "Ln.language_factored: n must be positive";
   let rec go k acc =
-    if k >= n then acc else go (k + 1) (Factored.union acc (slice_factored n k))
+    if k >= n then acc
+    else go (k + 1) (Factored.union ?guard acc (slice_factored n k))
   in
   Lang.of_factored (go 1 (slice_factored n 0))
 

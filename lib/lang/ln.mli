@@ -26,8 +26,9 @@ val language : int -> Lang.t
 (** [language_factored n] is [L_n] on tier T2, built as the union of the
     [n] slice chains [L_n^k] — Θ(2^n) hash-consed nodes, never an
     enumeration of the [4^n − 3^n] words, with exact Bignum cardinals.
-    This is the reference object for the n ≥ 16 sweeps (E31). *)
-val language_factored : int -> Lang.t
+    This is the reference object for the n ≥ 16 sweeps (E31).  [guard]
+    bounds the unions (default: the ambient guard). *)
+val language_factored : ?guard:Ucfg_exec.Guard.t -> int -> Lang.t
 
 (** [codes n] enumerates the packed codes of [L_n] lazily. *)
 val codes : int -> int Seq.t

@@ -59,7 +59,7 @@ let mixed_pool =
 
 let profiles = [ "smoke"; "mixed" ]
 
-let pool_of = function
+let pool = function
   | "smoke" -> smoke_pool
   | "mixed" -> mixed_pool
   | p -> invalid_arg (Printf.sprintf "Bombard: unknown profile %S" p)
@@ -99,32 +99,55 @@ let parse_response line =
     Ok (Option.value ~default:false ok, Option.value ~default:false cached,
         key, result)
 
+(* the per-request-line bookkeeping of both {!run} and {!chaos}: each
+   line's cache key and first [result] (the dump), the answers that were
+   missing, unparseable or not [ok], and the results that differ from
+   their line's first one *)
+type tally = {
+  keys : (string, string) Hashtbl.t;
+  seen : (string, string) Hashtbl.t;
+  mutable failed : int;
+  mutable differ : int;
+}
+
+let tally () =
+  { keys = Hashtbl.create 32; seen = Hashtbl.create 32; failed = 0; differ = 0 }
+
+(* [record tl line resp] files one answer ([None]: none came) and returns
+   its [(ok, cached)] flags when it parses *)
+let record tl line resp =
+  match Option.map parse_response resp with
+  | None | Some (Error _) ->
+    tl.failed <- tl.failed + 1;
+    None
+  | Some (Ok (ok, cached, key, result)) ->
+    if not ok then tl.failed <- tl.failed + 1;
+    Option.iter (Hashtbl.replace tl.keys line) key;
+    Option.iter
+      (fun r ->
+         match Hashtbl.find_opt tl.seen line with
+         | None -> Hashtbl.add tl.seen line r
+         | Some first -> if not (String.equal first r) then tl.differ <- tl.differ + 1)
+      result;
+    Some (ok, cached)
+
+(* one "<key> <result>" line per pool request, "-" where none was seen *)
+let write_dump oc pool tl =
+  Array.iter
+    (fun line ->
+       let find tbl = Option.value ~default:"-" (Hashtbl.find_opt tbl line) in
+       Printf.fprintf oc "%s %s\n" (find tl.keys) (find tl.seen))
+    pool;
+  flush oc
+
 let run ?dump ~profile ~seed ~requests send =
-  let pool = Array.of_list (pool_of profile) in
-  let seen : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let keys : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let errors = ref 0 and mismatches = ref 0 in
+  let pool = Array.of_list (pool profile) in
+  let tl = tally () in
   let shoot line =
     let t0 = Unix.gettimeofday () in
     let resp = send line in
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let cached =
-      match parse_response resp with
-      | Error _ -> incr errors; false
-      | Ok (ok, cached, key, result) ->
-        if not ok then incr errors;
-        (match key with
-         | Some k -> Hashtbl.replace keys line k
-         | None -> ());
-        (match result with
-         | Some r -> (
-             match Hashtbl.find_opt seen line with
-             | None -> Hashtbl.add seen line r
-             | Some first -> if not (String.equal first r) then incr mismatches)
-         | None -> ());
-        cached
-    in
-    (ms, cached)
+    (ms, match record tl line resp with Some (_, cached) -> cached | None -> false)
   in
   let started = Unix.gettimeofday () in
   let cold_lat = ref [] and cold_hits = ref 0 in
@@ -143,16 +166,7 @@ let run ?dump ~profile ~seed ~requests send =
     if cached then incr warm_hits
   done;
   let elapsed_s = Unix.gettimeofday () -. started in
-  (match dump with
-   | None -> ()
-   | Some oc ->
-     Array.iter
-       (fun line ->
-          let key = Option.value ~default:"-" (Hashtbl.find_opt keys line) in
-          let result = Option.value ~default:"-" (Hashtbl.find_opt seen line) in
-          Printf.fprintf oc "%s %s\n" key result)
-       pool;
-     flush oc);
+  Option.iter (fun oc -> write_dump oc pool tl) dump;
   let total = Array.length pool + requests in
   {
     profile;
@@ -167,8 +181,8 @@ let run ?dump ~profile ~seed ~requests send =
     elapsed_s;
     throughput_rps =
       (if elapsed_s > 0. then float_of_int total /. elapsed_s else 0.);
-    errors = !errors;
-    mismatches = !mismatches;
+    errors = tl.failed;
+    mismatches = tl.differ;
   }
 
 let ok r = r.errors = 0 && r.mismatches = 0
@@ -243,15 +257,18 @@ let ignore_sigpipe () =
      client that was measuring it *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-let one_shot ?timeout target line =
+let connection ?timeout target =
   ignore_sigpipe ();
   let fd = connect target in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
+  ( (fun line ->
        match send_all fd (line ^ "\n") with
        | () -> recv_line ?timeout fd
-       | exception Peer_gone -> None)
+       | exception Peer_gone -> None),
+    fun () -> try Unix.close fd with Unix.Unix_error _ -> () )
+
+let one_shot ?timeout target line =
+  let send, close = connection ?timeout target in
+  Fun.protect ~finally:close (fun () -> send line)
 
 let error_code resp =
   match Json.parse resp with
@@ -348,38 +365,38 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
   let malformed_sent = ref 0 and oversized_sent = ref 0 in
   let slow_requests = ref 0 and stalls_sent = ref 0 in
   let read_timeouts_seen = ref 0 and bursts = ref 0 in
-  let errors = ref 0 and mismatches = ref 0 in
-  let seen : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let keys : (string, string) Hashtbl.t = Hashtbl.create 32 in
+  let errors = ref 0 and tl = tally () in
   let sync f =
     Mutex.lock lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
   in
   let record line resp =
-    match parse_response resp with
-    | Error _ -> sync (fun () -> incr errors)
-    | Ok (ok, _cached, key, result) ->
-      sync (fun () ->
-          if ok then incr ok_responses else incr errors;
-          (match key with
-           | Some k -> Hashtbl.replace keys line k
-           | None -> ());
-          match result with
-          | Some r -> (
-              match Hashtbl.find_opt seen line with
-              | None -> Hashtbl.add seen line r
-              | Some first ->
-                if not (String.equal first r) then incr mismatches)
-          | None -> ())
+    sync (fun () ->
+        match record tl line (Some resp) with
+        | Some (true, _) -> incr ok_responses
+        | _ -> ())
   in
-  let shoot_with_retry rng' line =
+  (* one request on its own connection, retried through sheds *)
+  let retried rng' line =
     let resp, r, b = with_retry rng' (fun () -> one_shot target line) in
     sync (fun () ->
         retries := !retries + r;
         busy_shed := !busy_shed + b);
-    match resp with
+    resp
+  in
+  let shoot_with_retry rng' line =
+    match retried rng' line with
     | Some resp -> record line resp
     | None -> sync (fun () -> incr errors)
+  in
+  (* a raw connection for one scenario; a refused one is an error *)
+  let with_conn f =
+    match connect target with
+    | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () -> f fd)
+    | exception Unix.Unix_error _ -> incr errors
   in
   let run_scenario = function
     | Normal -> shoot_with_retry rng (Rng.pick rng pool)
@@ -389,84 +406,56 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
         let line = Rng.pick rng pool in
         let half = String.sub line 0 (String.length line / 2) in
         incr partial_writes;
-        match connect target with
-        | fd ->
-          (try send_all fd half with Peer_gone -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error _ -> incr errors)
+        with_conn (fun fd -> try send_all fd half with Peer_gone -> ()))
     | Abort_before_read -> (
         (* full request, but hang up before the response: exercises the
            daemon's EPIPE containment on the write side *)
         let line = Rng.pick rng pool in
         incr aborts_sent;
-        match connect target with
-        | fd ->
-          (try send_all fd (line ^ "\n") with Peer_gone -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        | exception Unix.Unix_error _ -> incr errors)
+        with_conn (fun fd -> try send_all fd (line ^ "\n") with Peer_gone -> ()))
     | Malformed -> (
         (* a busy daemon may shed the connection before ever parsing the
            frame — R013 is retriable by contract, so retry through it and
            judge only the answer the frame itself earns *)
         incr malformed_sent;
-        let resp, r, b =
-          with_retry rng (fun () -> one_shot target {|{"op": |})
-        in
-        sync (fun () ->
-            retries := !retries + r;
-            busy_shed := !busy_shed + b);
-        match resp with
-        | Some resp ->
-          if error_code resp <> Some "R010" then incr errors
+        match retried rng {|{"op": |} with
+        | Some resp -> if error_code resp <> Some "R010" then incr errors
         | None -> incr errors)
     | Oversized -> (
         (* a newline-free flood; SHUTDOWN_SEND afterwards so a daemon with
            a larger cap sees EOF instead of waiting out its deadline.
            Acceptable outcomes: R015, or a quiet close. *)
         incr oversized_sent;
-        match connect target with
-        | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-               (try
-                  send_all fd (String.make params.oversize_bytes 'a');
-                  Unix.shutdown fd Unix.SHUTDOWN_SEND
-                with Peer_gone | Unix.Unix_error _ -> ());
-               match recv_line fd with
-               | Some resp ->
-                 if is_busy resp then incr busy_shed
-                 else if error_code resp <> Some "R015" then incr errors
-               | None -> ())
-        | exception Unix.Unix_error _ -> incr errors)
+        with_conn (fun fd ->
+            (try
+               send_all fd (String.make params.oversize_bytes 'a');
+               Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Peer_gone | Unix.Unix_error _ -> ());
+            match recv_line fd with
+            | Some resp ->
+              if is_busy resp then incr busy_shed
+              else if error_code resp <> Some "R015" then incr errors
+            | None -> ()))
     | Slow_ok -> (
         (* a legitimate but slow client: three chunks inside the deadline
            must still be served, and served correctly *)
         let line = Rng.pick rng pool ^ "\n" in
         incr slow_requests;
-        match connect target with
-        | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-               let len = String.length line in
-               let third = max 1 (len / 3) in
-               try
-                 send_all fd (String.sub line 0 third);
-                 Thread.delay 0.03;
-                 send_all fd (String.sub line third third);
-                 Thread.delay 0.03;
-                 send_all fd
-                   (String.sub line (2 * third) (len - (2 * third)));
-                 match recv_line fd with
-                 | Some resp ->
-                   if is_busy resp then incr busy_shed
-                   else record (String.sub line 0 (len - 1)) resp
-                 | None -> incr errors
-               with Peer_gone -> incr errors)
-        | exception Unix.Unix_error _ -> incr errors)
+        with_conn (fun fd ->
+            let len = String.length line in
+            let third = max 1 (len / 3) in
+            try
+              send_all fd (String.sub line 0 third);
+              Thread.delay 0.03;
+              send_all fd (String.sub line third third);
+              Thread.delay 0.03;
+              send_all fd (String.sub line (2 * third) (len - (2 * third)));
+              match recv_line fd with
+              | Some resp ->
+                if is_busy resp then incr busy_shed
+                else record (String.sub line 0 (len - 1)) resp
+              | None -> incr errors
+            with Peer_gone -> incr errors))
     | Stall -> (
         (* a slow-loris: half a request, then silence past the daemon's
            read deadline.  Acceptable outcomes: R014, or a quiet close
@@ -474,23 +463,16 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
         let line = Rng.pick rng pool in
         let half = String.sub line 0 (String.length line / 2) in
         incr stalls_sent;
-        match connect target with
-        | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-               (try send_all fd half with Peer_gone -> ());
-               Thread.delay (params.stall_ms /. 1000.);
-               (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-                with Unix.Unix_error _ -> ());
-               match recv_line fd with
-               | Some resp ->
-                 if error_code resp = Some "R014" then
-                   incr read_timeouts_seen
-                 else if not (is_busy resp) then incr errors
-               | None -> ())
-        | exception Unix.Unix_error _ -> incr errors)
+        with_conn (fun fd ->
+            (try send_all fd half with Peer_gone -> ());
+            Thread.delay (params.stall_ms /. 1000.);
+            (try Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Unix.Unix_error _ -> ());
+            match recv_line fd with
+            | Some resp ->
+              if error_code resp = Some "R014" then incr read_timeouts_seen
+              else if not (is_busy resp) then incr errors
+            | None -> ()))
     | Burst ->
       (* concurrent pressure: [burst] clients at once, each retrying
          through any shed.  Lines and per-thread rngs are drawn before
@@ -519,11 +501,7 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
      liveness assertion the whole mode exists for (retrying through any
      leftover congestion from the last rounds) *)
   let live line =
-    let resp, r, b = with_retry rng (fun () -> one_shot target line) in
-    sync (fun () ->
-        retries := !retries + r;
-        busy_shed := !busy_shed + b);
-    match resp with
+    match retried rng line with
     | Some resp when error_code resp = None -> ()
     | _ -> incr errors
   in
@@ -533,18 +511,7 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
      pool request, byte-identical to what chaos rounds observed — and the
      dump makes it diffable against a chaos-free run *)
   Array.iter (fun line -> shoot_with_retry rng line) pool;
-  (match dump with
-   | None -> ()
-   | Some oc ->
-     Array.iter
-       (fun line ->
-          let key = Option.value ~default:"-" (Hashtbl.find_opt keys line) in
-          let result =
-            Option.value ~default:"-" (Hashtbl.find_opt seen line)
-          in
-          Printf.fprintf oc "%s %s\n" key result)
-       pool;
-     flush oc);
+  Option.iter (fun oc -> write_dump oc pool tl) dump;
   {
     c_seed = seed;
     c_jobs = Ucfg_exec.Exec.jobs ();
@@ -560,8 +527,8 @@ let chaos ?dump ?(params = default_chaos) ~target ~seed () =
     stalls_sent = !stalls_sent;
     read_timeouts_seen = !read_timeouts_seen;
     c_bursts = !bursts;
-    c_errors = !errors;
-    c_mismatches = !mismatches;
+    c_errors = !errors + tl.failed;
+    c_mismatches = tl.differ;
     c_elapsed_s = Unix.gettimeofday () -. started;
   }
 
@@ -609,141 +576,6 @@ let chaos_to_json r =
          ("mismatches", Json.Int r.c_mismatches);
          ("elapsed_s", Json.Float r.c_elapsed_s);
          ("survival", Json.Str (if chaos_ok r then "ok" else "failed")) ])
-
-(* --- concurrent clients ---------------------------------------------------- *)
-
-let concurrent_run ?dump ~profile ~seed ~requests ~clients target =
-  ignore_sigpipe ();
-  let pool = Array.of_list (pool_of profile) in
-  let lock = Mutex.create () in
-  let seen : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let keys : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let errors = ref 0 and mismatches = ref 0 in
-  let sync f =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-  in
-  (* one persistent connection per client thread; busy sheds retried.
-     The daemon closes a connection it sheds (R013) or loses, so the
-     persistent fd is poisoned the moment an attempt fails — replace it
-     before the next attempt instead of retrying into a closed socket. *)
-  let shoot rng' fdr line =
-    let t0 = Unix.gettimeofday () in
-    let stale = ref false in
-    let resp, _, _ =
-      with_retry rng' (fun () ->
-          if !stale then begin
-            (try Unix.close !fdr with Unix.Unix_error _ -> ());
-            fdr := connect target;
-            stale := false
-          end;
-          match send_all !fdr (line ^ "\n") with
-          | () -> (
-              match recv_line !fdr with
-              | Some r when is_busy r ->
-                stale := true;
-                Some r
-              | other ->
-                if other = None then stale := true;
-                other)
-          | exception Peer_gone ->
-            stale := true;
-            None)
-    in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    match resp with
-    | None ->
-      sync (fun () -> incr errors);
-      (ms, false)
-    | Some resp -> (
-        match parse_response resp with
-        | Error _ ->
-          sync (fun () -> incr errors);
-          (ms, false)
-        | Ok (ok, cached, key, result) ->
-          sync (fun () ->
-              if not ok then incr errors;
-              (match key with
-               | Some k -> Hashtbl.replace keys line k
-               | None -> ());
-              match result with
-              | Some r -> (
-                  match Hashtbl.find_opt seen line with
-                  | None -> Hashtbl.add seen line r
-                  | Some first ->
-                    if not (String.equal first r) then incr mismatches)
-              | None -> ());
-          (ms, cached))
-  in
-  let started = Unix.gettimeofday () in
-  (* cold: sequential, one connection, pool order — populates the cache *)
-  let rng = Rng.create seed in
-  let cold_lat = ref [] and cold_hits = ref 0 in
-  let fdr = ref (connect target) in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close !fdr with Unix.Unix_error _ -> ())
-    (fun () ->
-       Array.iter
-         (fun line ->
-            let ms, cached = shoot rng fdr line in
-            cold_lat := ms :: !cold_lat;
-            if cached then incr cold_hits)
-         pool);
-  (* warm: [clients] threads, each with its own connection and seeded
-     stream, draws split evenly (remainder to the first threads) *)
-  let clients = max 1 clients in
-  let warm_lat = ref [] and warm_hits = ref 0 in
-  let worker i rng' =
-    let mine = (requests / clients) + (if i < requests mod clients then 1 else 0) in
-    let fdr = ref (connect target) in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close !fdr with Unix.Unix_error _ -> ())
-      (fun () ->
-         for _ = 1 to mine do
-           let line = Rng.pick rng' pool in
-           let ms, cached = shoot rng' fdr line in
-           sync (fun () ->
-               warm_lat := ms :: !warm_lat;
-               if cached then incr warm_hits)
-         done)
-  in
-  let threads =
-    List.init clients (fun i ->
-        let rng' = Rng.split rng in
-        Thread.create (fun () -> worker i rng') ())
-  in
-  List.iter Thread.join threads;
-  let elapsed_s = Unix.gettimeofday () -. started in
-  (match dump with
-   | None -> ()
-   | Some oc ->
-     Array.iter
-       (fun line ->
-          let key = Option.value ~default:"-" (Hashtbl.find_opt keys line) in
-          let result =
-            Option.value ~default:"-" (Hashtbl.find_opt seen line)
-          in
-          Printf.fprintf oc "%s %s\n" key result)
-       pool;
-     flush oc);
-  let total = Array.length pool + requests in
-  {
-    profile;
-    seed;
-    jobs = Ucfg_exec.Exec.jobs ();
-    distinct = Array.length pool;
-    requests;
-    cold = phase_of !cold_lat !cold_hits;
-    warm = phase_of !warm_lat !warm_hits;
-    warm_hit_ratio =
-      (if requests = 0 then 0.
-       else float_of_int !warm_hits /. float_of_int requests);
-    elapsed_s;
-    throughput_rps =
-      (if elapsed_s > 0. then float_of_int total /. elapsed_s else 0.);
-    errors = !errors;
-    mismatches = !mismatches;
-  }
 
 let to_text r =
   String.concat "\n"

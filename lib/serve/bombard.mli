@@ -46,8 +46,13 @@ type report = {
     adds heavier cold requests. *)
 val profiles : string list
 
+(** [pool profile] is the profile's distinct request lines, in the cold
+    phase's order.  @raise Invalid_argument on an unknown profile name. *)
+val pool : string -> string list
+
 (** [run ~profile ~seed ~requests send] executes both phases through
-    [send] (one request line in, one response line out).  [dump], when
+    [send] (one request line in, one response line out; [None] — no
+    answer — counts as an error).  [dump], when
     given, receives one ["<key> <result>"] line per distinct pool request
     in pool order — a stable transcript for cold/warm and jobs 1-vs-4
     diffs.  @raise Invalid_argument on an unknown profile name. *)
@@ -56,7 +61,7 @@ val run :
   profile:string ->
   seed:int ->
   requests:int ->
-  (string -> string) ->
+  (string -> string option) ->
   report
 
 (** [ok r] — no errors and no result mismatches. *)
@@ -76,9 +81,15 @@ val to_json : report -> string
 
 type target = Unix_path of string | Tcp_port of int
 
-(** [one_shot target line] — connect, send one request line, read one
-    response line, close.  [None] on EOF, reset, or [timeout] (default
-    60 s — a backstop against a wedged daemon, not a measurement). *)
+(** [connection target] opens one persistent connection: a [send] for
+    {!run} (one request line out, one response line back; [None] on EOF,
+    reset, or [timeout] — default 60 s, a backstop against a wedged
+    daemon, not a measurement) and its [close].
+    @raise Unix.Unix_error when the connection is refused. *)
+val connection :
+  ?timeout:float -> target -> (string -> string option) * (unit -> unit)
+
+(** [one_shot target line] — a {!connection} for one request line. *)
 val one_shot : ?timeout:float -> target -> string -> string option
 
 (** {2 Chaos mode}
@@ -145,21 +156,3 @@ val chaos_ok : chaos_report -> bool
 
 val chaos_to_text : chaos_report -> string
 val chaos_to_json : chaos_report -> string
-
-(** {2 Concurrent clients}
-
-    [concurrent_run ~profile ~seed ~requests ~clients target] is {!run}
-    with the warm phase fanned over [clients] threads, each on its own
-    persistent connection with its own seeded stream ([requests] split
-    evenly); the cold phase stays sequential on one connection.  R013
-    sheds are retried with the reference backoff.  Same report and
-    [dump] semantics as {!run} — in particular the dump diffs against a
-    serial run's, which is the concurrency gate. *)
-val concurrent_run :
-  ?dump:out_channel ->
-  profile:string ->
-  seed:int ->
-  requests:int ->
-  clients:int ->
-  target ->
-  report

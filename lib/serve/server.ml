@@ -4,9 +4,7 @@
 open Ucfg_cfg
 module Lang = Ucfg_lang.Lang
 module Diag = Ucfg_lint.Diag
-module SL = Ucfg_lint.Semantic_lint
 module Guard = Ucfg_exec.Guard
-module Bignum = Ucfg_util.Bignum
 
 (* per-grammar derived artifacts shared across operations: the parsed
    grammar and (lazily) its materialised language, keyed by the semantic
@@ -128,55 +126,23 @@ let cancel_active t =
 
 (* --- request decoding ----------------------------------------------------- *)
 
-exception Bad_request of string
-
-let badf fmt = Printf.ksprintf (fun m -> raise (Bad_request m)) fmt
-
-let kinds =
-  [ ("log", `Log); ("example3", `Example3); ("example4", `Example4);
-    ("trivial", `Trivial) ]
-
-let build_kind kind n =
-  match kind with
-  | `Log -> Constructions.log_cfg n
-  | `Example3 -> Constructions.example3 n
-  | `Example4 -> Constructions.example4 n
-  | `Trivial ->
-    Constructions.of_language Ucfg_word.Alphabet.binary (Ucfg_lang.Ln.language n)
+let badf fmt = Printf.ksprintf invalid_arg fmt
 
 let field obj name = Json.member name obj
 
-let string_field obj name =
+(* an optional field of one JSON type; present with another is bad input *)
+let typed_field get what obj name =
   match field obj name with
   | None -> None
   | Some v -> (
-      match Json.get_string v with
-      | Some s -> Some s
-      | None -> badf "field %S must be a string" name)
+      match get v with
+      | Some x -> Some x
+      | None -> badf "field %S must be %s" name what)
 
-let int_field obj name =
-  match field obj name with
-  | None -> None
-  | Some v -> (
-      match Json.get_int v with
-      | Some i -> Some i
-      | None -> badf "field %S must be an integer" name)
-
-let bool_field obj name =
-  match field obj name with
-  | None -> None
-  | Some v -> (
-      match Json.get_bool v with
-      | Some b -> Some b
-      | None -> badf "field %S must be a boolean" name)
-
-let float_field obj name =
-  match field obj name with
-  | None -> None
-  | Some v -> (
-      match Json.get_float v with
-      | Some f -> Some f
-      | None -> badf "field %S must be a number" name)
+let string_field = typed_field Json.get_string "a string"
+let int_field = typed_field Json.get_int "an integer"
+let bool_field = typed_field Json.get_bool "a boolean"
+let float_field = typed_field Json.get_float "a number"
 
 let alphabet_of obj suffix =
   match string_field obj ("alphabet" ^ suffix) with
@@ -185,8 +151,9 @@ let alphabet_of obj suffix =
     if chars = "" then badf "field \"alphabet%s\" must be non-empty" suffix;
     Ucfg_word.Alphabet.make (List.init (String.length chars) (String.get chars))
 
-(* a grammar operand: inline Grammar_io text or a named construction *)
-let grammar_of obj suffix =
+(* a grammar operand: inline Grammar_io text or a named construction,
+   built under the request's guard *)
+let grammar_of ~guard obj suffix =
   match
     ( string_field obj ("grammar" ^ suffix),
       string_field obj ("kind" ^ suffix),
@@ -194,11 +161,11 @@ let grammar_of obj suffix =
   with
   | Some text, None, None -> Grammar_io.parse (alphabet_of obj suffix) text
   | None, Some kind, Some n -> (
-      match List.assoc_opt kind kinds with
-      | Some k -> build_kind k n
+      match List.assoc_opt kind Constructions.kinds with
+      | Some build -> build ~guard n
       | None ->
-        badf "unknown kind%s %S (expected log, example3, example4, trivial)"
-          suffix kind)
+        badf "unknown kind%s %S (expected %s)" suffix kind
+          (String.concat ", " (List.map fst Constructions.kinds)))
   | None, Some _, None -> badf "field \"kind%s\" needs \"n%s\"" suffix suffix
   | None, None, Some _ -> badf "field \"n%s\" needs \"kind%s\"" suffix suffix
   | Some _, Some _, _ | Some _, _, Some _ ->
@@ -246,52 +213,6 @@ let language t ~guard art =
     Mutex.unlock t.art_mutex;
     l
 
-(* --- result rendering ----------------------------------------------------- *)
-
-let diags_json diags = Json.Raw (Diag.list_to_json diags)
-
-let big_opt = function
-  | Some b -> Json.Str (Bignum.to_string b)
-  | None -> Json.Null
-
-let check_result name (report : SL.report) =
-  let diags = SL.to_diags report in
-  let status, reason =
-    match report.SL.status with
-    | SL.Holds -> ("holds", Json.Null)
-    | SL.Fails _ -> ("fails", Json.Null)
-    | SL.Interrupted r -> ("interrupted", Json.Str (Guard.reason_code r))
-  in
-  let backend =
-    match report.SL.backend with
-    | SL.Counting -> "count"
-    | SL.Packed -> "packed"
-    | SL.Mixed -> "mixed"
-  in
-  let witness =
-    match report.SL.status with
-    | SL.Fails cex ->
-      Json.Obj
-        [ ("word", Json.Str cex.SL.word);
-          ("in_first", Json.Bool cex.SL.in_first);
-          ("in_second", Json.Bool cex.SL.in_second) ]
-    | _ -> Json.Null
-  in
-  ( Json.Obj
-      [ ("property", Json.Str name);
-        ("status", Json.Str status);
-        ("reason", reason);
-        ("backend", Json.Str backend);
-        ("vacuous", Json.Bool report.SL.vacuous);
-        ("cardinal", big_opt report.SL.cardinal);
-        ("cardinal2", big_opt report.SL.cardinal2);
-        ("witness", witness);
-        ("diagnostics", diags_json diags) ],
-    report.SL.status,
-    diags )
-
-(* --- operations ----------------------------------------------------------- *)
-
 (* the canonical cache key of a request: op, canonical parameter string,
    canonical operand grammars.  Names only matter where the rendered
    artifact mentions them (lint diagnostics). *)
@@ -300,124 +221,6 @@ let key_of ~op ~params ~keep_names grammars =
     (Digest.string
        (String.concat "\x00"
           (op :: params :: List.map (Canon.canonical ~keep_names) grammars)))
-
-(* [compute] returns the result payload object; a [Guard.Interrupt] or an
-   [SL.Interrupted] status becomes an uncached error response upstream *)
-exception Interrupted_status of Guard.reason
-
-let op_lint ~guard ~semantic g =
-  let diags =
-    let static = Ucfg_lint.Grammar_lint.run g in
-    if semantic then Diag.sort (static @ SL.lint ~guard g) else static
-  in
-  (* [SL.lint] renders a guard trip as an R001–R003 warning (a partial
-     verdict) instead of raising; a partial verdict must never be cached,
-     so resurface the trip here and let the dispatcher turn it into an
-     uncached 124 error response, exactly as [op_check] does *)
-  (match
-     List.find_map
-       (fun (d : Diag.t) ->
-          match d.Diag.code with
-          | "R001" -> Some Guard.Timeout
-          | "R002" -> Some Guard.Budget
-          | "R003" -> Some Guard.Cancel
-          | _ -> None)
-       diags
-   with
-   | Some reason -> raise (Interrupted_status reason)
-   | None -> ());
-  let errors, warnings, infos = Diag.count_severity diags in
-  Json.Obj
-    [ ("diagnostics", diags_json diags);
-      ("errors", Json.Int errors);
-      ("warnings", Json.Int warnings);
-      ("infos", Json.Int infos) ]
-
-let op_ambiguity ~guard g =
-  let v = Ambiguity.check ~guard g in
-  let via, witness =
-    match v.Ambiguity.via with
-    | Ambiguity.Certificate -> ("certificate", Json.Null)
-    | Ambiguity.Static_witness w -> ("static-witness", Json.Str w)
-    | Ambiguity.Counting -> ("counting", Json.Null)
-  in
-  Json.Obj
-    [ ("unambiguous", Json.Bool v.Ambiguity.unambiguous);
-      ("total_trees", big_opt v.Ambiguity.total_trees);
-      ("word_count",
-       match v.Ambiguity.word_count with
-       | Some c -> Json.Int c
-       | None -> Json.Null);
-      ("via", Json.Str via);
-      ("witness", witness) ]
-
-let op_check ~guard ~cross_check ~property g1 g2_opt =
-  let need_g2 () =
-    match g2_opt with
-    | Some g -> g
-    | None -> badf "property %S needs a second grammar" property
-  in
-  let report =
-    match property with
-    | "universal" -> SL.universal ~guard ~cross_check g1
-    | "includes" -> SL.includes ~guard ~cross_check g1 (need_g2 ())
-    | "equiv" -> SL.equiv ~guard ~cross_check g1 (need_g2 ())
-    | "disjoint" -> SL.disjoint ~guard ~cross_check g1 (need_g2 ())
-    | p ->
-      badf "unknown property %S (expected universal, includes, equiv, \
-            disjoint)" p
-  in
-  let result, status, _diags = check_result property report in
-  (match status with
-   | SL.Interrupted reason -> raise (Interrupted_status reason)
-   | _ -> ());
-  result
-
-let op_rectangles ~guard g =
-  let res = Ucfg_rect.Extract.run ~guard g in
-  let v, shape_ok = Ucfg_rect.Extract.verify g res in
-  Json.Obj
-    [ ("word_length", Json.Int res.Ucfg_rect.Extract.word_length);
-      ("cnf_size", Json.Int res.Ucfg_rect.Extract.cnf_size);
-      ("annotated_size", Json.Int res.Ucfg_rect.Extract.annotated_size);
-      ("rectangles", Json.Int (List.length res.Ucfg_rect.Extract.rectangles));
-      ("bound", Json.Int res.Ucfg_rect.Extract.bound);
-      ("is_cover", Json.Bool v.Ucfg_rect.Cover.is_cover);
-      ("is_disjoint", Json.Bool v.Ucfg_rect.Cover.is_disjoint);
-      ("balanced_within_bound", Json.Bool shape_ok) ]
-
-let op_rank t ~guard ~split g =
-  let art = artifact t g in
-  let lang =
-    (* a language too large (or infinite) to materialise is an input
-       problem of this request, not a server fault *)
-    try language t ~guard art with Invalid_argument msg -> badf "%s" msg
-  in
-  let len =
-    match Lang.uniform_length lang with
-    | Some l -> l
-    | None -> badf "rank needs a non-empty uniform-length language"
-  in
-  let split =
-    match split with
-    | Some s ->
-      if s < 1 || s >= len then
-        badf "split %d out of range for word length %d" s len;
-      s
-    | None -> (len + 1) / 2
-  in
-  let m = Ucfg_comm.Matrix.of_language (Grammar.alphabet g) lang ~split in
-  let gf2 = Ucfg_comm.Rank.gf2 m in
-  Json.Obj
-    [ ("word_length", Json.Int len);
-      ("split", Json.Int split);
-      ("rows", Json.Int (Ucfg_comm.Matrix.rows m));
-      ("cols", Json.Int (Ucfg_comm.Matrix.cols m));
-      ("ones", Json.Int (Ucfg_comm.Matrix.ones m));
-      ("gf2_rank", Json.Int gf2);
-      (* Rank.disjoint_cover_lower_bound, reusing the GF(2) rank *)
-      ("cover_lower_bound", Json.Int (max gf2 (Ucfg_comm.Rank.mod_p m)));
-      ("language_digest", Json.Str (Lang.digest lang)) ]
 
 (* --- the dispatcher ------------------------------------------------------- *)
 
@@ -434,7 +237,7 @@ let error_response ~id ?op (diag : Diag.t) exit_code =
             match diag.Diag.hint with
             | Some h -> [ ("hint", Json.Str h) ]
             | None -> []));
-        ("diagnostics", diags_json [ diag ]) ]
+        ("diagnostics", Json.Raw (Diag.list_to_json [ diag ])) ]
   in
   Json.to_string (Json.Obj fields)
 
@@ -562,26 +365,26 @@ let handle_line t line =
       ok_response ~id:!id ~op ~source:"computed" ~key:None
         (Json.to_string (Json.Obj [ ("stopping", Json.Bool true) ]))
     | "lint" ->
-      let g = grammar_of obj "" in
+      let g = grammar_of ~guard obj "" in
       let semantic = Option.value ~default:false (bool_field obj "semantic") in
       let params = Printf.sprintf "semantic=%b" semantic in
       (* lint diagnostics mention nonterminal names, so names are part of
          this op's key (and only this op's) *)
       let key = key_of ~op ~params ~keep_names:true [ g ] in
-      respond_computed ~op ~key:(Some key) (fun () -> op_lint ~guard ~semantic g)
+      respond_computed ~op ~key:(Some key) (fun () -> Verbs.lint ~guard ~semantic g)
     | "ambiguity" ->
-      let g = grammar_of obj "" in
+      let g = grammar_of ~guard obj "" in
       let key = key_of ~op ~params:"" ~keep_names:false [ g ] in
-      respond_computed ~op ~key:(Some key) (fun () -> op_ambiguity ~guard g)
+      respond_computed ~op ~key:(Some key) (fun () -> Verbs.ambiguity ~guard g)
     | "check" ->
-      let g1 = grammar_of obj "" in
+      let g1 = grammar_of ~guard obj "" in
       let property =
         match string_field obj "property" with
         | Some p -> p
         | None -> badf "missing \"property\""
       in
       let g2 =
-        if property = "universal" then None else Some (grammar_of obj "2")
+        if property = "universal" then None else Some (grammar_of ~guard obj "2")
       in
       let cross_check =
         Option.value ~default:false (bool_field obj "cross_check")
@@ -590,13 +393,13 @@ let handle_line t line =
       let grammars = g1 :: Option.to_list g2 in
       let key = key_of ~op ~params ~keep_names:false grammars in
       respond_computed ~op ~key:(Some key)
-        (fun () -> op_check ~guard ~cross_check ~property g1 g2)
+        (fun () -> Verbs.check ~guard ~cross_check ~property g1 g2)
     | "rectangles" ->
-      let g = grammar_of obj "" in
+      let g = grammar_of ~guard obj "" in
       let key = key_of ~op ~params:"" ~keep_names:false [ g ] in
-      respond_computed ~op ~key:(Some key) (fun () -> op_rectangles ~guard g)
+      respond_computed ~op ~key:(Some key) (fun () -> Verbs.rectangles ~guard g)
     | "rank" ->
-      let g = grammar_of obj "" in
+      let g = grammar_of ~guard obj "" in
       let split = int_field obj "split" in
       let params =
         match split with
@@ -604,31 +407,19 @@ let handle_line t line =
         | None -> "split=half"
       in
       let key = key_of ~op ~params ~keep_names:false [ g ] in
-      respond_computed ~op ~key:(Some key) (fun () -> op_rank t ~guard ~split g)
+      respond_computed ~op ~key:(Some key) (fun () ->
+          Verbs.rank ~split g (language t ~guard (artifact t g)))
     | op ->
       Atomic.incr t.errors;
       error_response ~id:!id ~op (Diag.unsupported (Printf.sprintf "op %S" op)) 2
-  with
-  | Bad_request msg ->
+  with exn ->
     Atomic.incr t.errors;
-    error_response ~id:!id ?op:!op_for_error (Diag.invalid_input msg) 2
-  | Guard.Interrupt reason | Interrupted_status reason ->
-    Atomic.incr t.errors;
-    error_response ~id:!id ?op:!op_for_error (Diag.interrupted reason) 124
-  | Invalid_argument msg | Failure msg ->
-    (* the library marks unsupported-input preconditions with
-       [invalid_arg]/[failwith] ("cyclic grammar", "grammar not in CNF",
-       …): input-dependent, hence a client error *)
-    Atomic.incr t.errors;
-    error_response ~id:!id ?op:!op_for_error (Diag.invalid_input msg) 2
-  | exn ->
-    (* anything else — I/O failures, Not_found, assertion failures deep in
-       an analysis pass — is a server-side fault: give it a distinct code
-       and log it for the operator instead of blaming the input *)
-    Atomic.incr t.errors;
-    let msg = Printexc.to_string exn in
-    Printf.eprintf "ucfg serve: internal error on request: %s\n%!" msg;
-    error_response ~id:!id ?op:!op_for_error (Diag.internal msg) 70
+    let diag, exit_code = Verbs.diagnose exn in
+    (* an internal error is the operator's to see, not only the client's *)
+    if exit_code = 70 then
+      Printf.eprintf "ucfg serve: internal error on request: %s\n%!"
+        (Printexc.to_string exn);
+    error_response ~id:!id ?op:!op_for_error diag exit_code
 
 (* --- transports ----------------------------------------------------------- *)
 

@@ -40,14 +40,16 @@
     "exit_code":…, "message":…, "hint":…}, "diagnostics":[…]}] using the
     CLI's exit-code taxonomy per request instead of per process:
 
-    - R001–R003 (guard trips) → [exit_code] 124.  Never cached; a request
-      that timed out under a small budget is recomputed when retried with
-      a larger one.  R003 in particular is what an in-flight request
+    - R001–R003 (guard trips) → [exit_code] 124.  The guard bounds the
+      whole request, the building of a named [example4] or [trivial]
+      operand included.  Never cached; a request that timed out under a
+      small budget is recomputed when retried with a larger one.  R003 in particular is what an in-flight request
       reports when a graceful drain cancels it.
     - R010 (invalid input), R011 (unknown op), R015 (oversized request
       line, connection closed) → 2.  Not retriable as-is.
     - R012 (unexpected server-side exception, also logged to stderr) → 70
       ([EX_SOFTWARE]).
+    The exception-to-code table is {!Verbs.diagnose}, shared with the CLI.
     - R013 (server busy / draining — the connection was shed, not served)
       and R014 (read deadline exceeded mid-request) → 75
       ([EX_TEMPFAIL]): {e transient} by contract.  Clients should retry

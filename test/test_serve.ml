@@ -358,6 +358,20 @@ let test_server_guard_trip_not_cached () =
   Alcotest.(check string) "retry is computed, not a poisoned hit" "computed"
     (get_str "source" rv)
 
+let test_server_huge_construction_trips () =
+  (* a named construction is built under the request guard: trivial at
+     n = 31 (4^31 words) and example4 at n = 33 (3^32 rules) trip the
+     budget instead of pinning the worker *)
+  let srv = Server.create ~cache_dir:None () in
+  List.iter
+    (fun line ->
+       let err = member_exn "error" (json_of (Server.handle_line srv line)) in
+       Alcotest.(check (pair string int)) line ("R002", 124)
+         (get_str "code" err, get_int "exit_code" err))
+    [ {|{"op": "lint", "kind": "trivial", "n": 31, "budget": 1000}|};
+      {|{"op": "check", "property": "equiv", "kind": "log", "n": 4, "kind2": "trivial", "n2": 12, "budget": 1000}|};
+      {|{"op": "ambiguity", "kind": "example4", "n": 33, "budget": 1000}|} ]
+
 let test_server_lint_trip_not_cached () =
   (* unlike [check], [SL.lint] swallows the guard exception and renders
      the trip as an R001–R003 warning diagnostic (a partial verdict); the
@@ -1038,7 +1052,7 @@ let test_bombard_smoke () =
     let srv = Server.create ~cache_dir:(Some dir) () in
     let report =
       Bombard.run ~profile:"smoke" ~seed:7 ~requests:25
-        (Server.handle_line srv)
+        (fun line -> Some (Server.handle_line srv line))
     in
     Alcotest.(check bool) "no errors, no mismatches" true (Bombard.ok report);
     Alcotest.(check int) "cold phase covers the pool" report.Bombard.distinct
@@ -1050,6 +1064,130 @@ let test_bombard_smoke () =
     let v = json_of (Bombard.to_json report) in
     Alcotest.(check string) "consistency ok" "ok" (get_str "consistency" v);
     Alcotest.(check int) "errors serialised" 0 (get_int "errors" v))
+
+(* --- the shared exit-code table and request fuzzing ------------------------ *)
+
+module Guard = Ucfg_exec.Guard
+
+let test_exit_code_table () =
+  (* every exception class the CLI's handler and [Server.handle_line] map,
+     against its documented (code, exit) pair *)
+  List.iter
+    (fun (name, exn, want) ->
+       let d, exit_code = Verbs.diagnose exn in
+       Alcotest.(check (pair string int)) name want
+         (d.Ucfg_lint.Diag.code, exit_code))
+    [ ("timeout", Guard.Interrupt Guard.Timeout, ("R001", 124));
+      ("budget", Guard.Interrupt Guard.Budget, ("R002", 124));
+      ("cancel", Guard.Interrupt Guard.Cancel, ("R003", 124));
+      ("Invalid_argument", Invalid_argument "cyclic grammar", ("R010", 2));
+      ("Failure", Failure "grammar not in CNF", ("R010", 2));
+      ("Not_found", Not_found, ("R012", 70)) ];
+  (* a trip reported as a diagnostic wins over an error *)
+  let error =
+    Ucfg_lint.Diag.make ~code:"G001" ~severity:Ucfg_lint.Diag.Error
+      ~loc:Ucfg_lint.Diag.Whole "an error"
+  in
+  let trip = Ucfg_lint.Diag.interrupted Guard.Budget in
+  Alcotest.(check (list int)) "exit_code: trip, error, clean" [ 124; 1; 0 ]
+    (List.map Verbs.exit_code [ [ error; trip ]; [ error ]; [] ])
+
+(* a small default budget: a mutated [n] naming a huge construction trips
+   the request guard instead of running long *)
+let fuzz_server = lazy (Server.create ~cache_dir:None ~default_budget:20_000 ())
+
+(* one response line that parses, carries a boolean [ok], and is never
+   the R012/exit 70 internal-error answer *)
+let well_formed_response line =
+  let resp = Server.handle_line (Lazy.force fuzz_server) line in
+  (not (String.contains resp '\n'))
+  &&
+  match Json.parse resp with
+  | Error _ -> false
+  | Ok v -> (
+      (match Json.member "ok" v with Some (Json.Bool _) -> true | _ -> false)
+      &&
+      match Json.member "error" v with
+      | None -> true
+      | Some err ->
+        Json.member "code" err <> Some (Json.Str "R012")
+        && Json.member "exit_code" err <> Some (Json.Int 70))
+
+(* 1–3 byte edits: substitute, insert or delete a random byte *)
+let gen_mutation base =
+  let open QCheck.Gen in
+  let edit s =
+    let len = String.length s in
+    int_range 0 2 >>= fun kind ->
+    int_range 0 (max 0 (len - 1)) >>= fun pos ->
+    char >>= fun c ->
+    return
+      (match kind with
+       | 0 when len > 0 -> String.mapi (fun i x -> if i = pos then c else x) s
+       | 1 -> String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (len - pos)
+       | _ when len > 0 -> String.sub s 0 pos ^ String.sub s (pos + 1) (len - pos - 1)
+       | _ -> s)
+  in
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  int_range 1 3 >>= fun k -> go k base
+
+let smoke_pool = Bombard.pool "smoke"
+
+(* the pool's inline Grammar_io text, decoded, so its mutations reach the
+   grammar parser rather than stopping at the JSON one *)
+let inline_grammar =
+  List.find_map
+    (fun line -> Option.bind (Json.member "grammar" (json_of line)) Json.get_string)
+    smoke_pool
+  |> Option.get
+
+let prop_random_lines =
+  QCheck.Test.make ~name:"random byte lines answer well-formed" ~count:300
+    QCheck.(make ~print:String.escaped Gen.(string_size (int_range 0 64)))
+    well_formed_response
+
+let prop_mutated_pool =
+  QCheck.Test.make ~name:"mutated pool requests answer well-formed" ~count:400
+    QCheck.(
+      make ~print:String.escaped Gen.(oneofl smoke_pool >>= gen_mutation))
+    well_formed_response
+
+let prop_mutated_grammar =
+  QCheck.Test.make ~name:"mutated inline grammars answer well-formed" ~count:200
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(
+          gen_mutation inline_grammar >>= fun text ->
+          return
+            (Json.to_string
+               (Json.Obj [ ("op", Json.Str "lint"); ("grammar", Json.Str text) ]))))
+    well_formed_response
+
+(* JSON values the parser can produce, minus [Float] (printed through
+   %.12g, so not bit-exact); [Raw] is output-only *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size (int_range 0 8) in
+  sized
+  @@ fix (fun self n ->
+      let leaf =
+        oneof
+          [ return Json.Null; map (fun b -> Json.Bool b) bool;
+            map (fun i -> Json.Int i) int; map (fun s -> Json.Str s) str ]
+      in
+      if n <= 0 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            (1, map (fun l -> Json.List l) (list_size (int_range 0 4) (self (n / 4))));
+            (1,
+             map (fun l -> Json.Obj l)
+               (list_size (int_range 0 4) (pair str (self (n / 4))))) ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
 
 let () =
   Alcotest.run "serve"
@@ -1091,6 +1229,8 @@ let () =
             test_server_guard_trip_not_cached;
           Alcotest.test_case "semantic lint trip is an uncached error" `Quick
             test_server_lint_trip_not_cached;
+          Alcotest.test_case "huge construction trips the guard" `Quick
+            test_server_huge_construction_trips;
           Alcotest.test_case "unix socket path safety" `Quick
             test_server_unix_socket_safety;
           Alcotest.test_case "R010/R011 taxonomy" `Quick
@@ -1132,4 +1272,10 @@ let () =
         ] );
       ( "bombard",
         [ Alcotest.test_case "in-process smoke" `Quick test_bombard_smoke ] );
+      ( "verbs",
+        [ Alcotest.test_case "exit-code table" `Quick test_exit_code_table ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_lines; prop_mutated_pool; prop_mutated_grammar;
+            prop_json_roundtrip ] );
     ]
