@@ -33,6 +33,8 @@ lint: build
 	$(CLI) lint --kind example4 -n 4
 	@echo "-- trivial n=3 (one rule per word, must pass)"
 	$(CLI) lint --kind trivial -n 3
+	@echo "-- trivial n=8 (58975 rules: the static pass must stay linear)"
+	timeout 20 $(CLI) lint --kind trivial -n 8 > /dev/null
 	@echo "-- log n=6 (Appendix A, ambiguous: lint must exit 1)"
 	! $(CLI) lint --kind log -n 6
 	@echo "-- example3 t=2 (KMN grammar, ambiguous: lint must exit 1)"

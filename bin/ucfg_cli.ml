@@ -359,7 +359,7 @@ let lint_cmd =
           | Some path -> load_grammar path
           | None -> build_grammar kind n
         in
-        Ucfg_lint.Grammar_lint.run ~semantic g
+        Verbs.lint_diags ~guard:(Ucfg_exec.Exec.current_guard ()) ~semantic g
       end
     in
     if json then print_endline (Diag.list_to_json diags)

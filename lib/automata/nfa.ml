@@ -184,7 +184,7 @@ let product a b =
   make ~alphabet:a.alphabet ~states:(a.states * b.states) ~initials ~finals
     ~transitions:!transitions ()
 
-let trim t =
+let reachability t =
   let fwd = Array.make t.states false in
   let rec forward s =
     if not fwd.(s) then begin
@@ -210,6 +210,10 @@ let trim t =
   for s = 0 to t.states - 1 do
     if t.finals.(s) then backward s
   done;
+  (fwd, bwd)
+
+let trim t =
+  let fwd, bwd = reachability t in
   let keep = Array.init t.states (fun s -> fwd.(s) && bwd.(s)) in
   let remap = Array.make t.states (-1) in
   let next = ref 0 in

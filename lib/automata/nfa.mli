@@ -63,6 +63,11 @@ val union : t -> t -> t
     @raise Invalid_argument on ε-transitions or alphabet mismatch. *)
 val product : t -> t -> t
 
+(** [reachability t] is [(reach, coreach)]: the states reachable from an
+    initial state, and those from which a final state is reachable, over
+    labelled and ε-transitions alike. *)
+val reachability : t -> bool array * bool array
+
 (** [trim t] restricts to useful (reachable and co-reachable) states. *)
 val trim : t -> t
 

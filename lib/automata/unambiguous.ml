@@ -1,68 +1,62 @@
 module Bignum = Ucfg_util.Bignum
 
-(* Self-product criterion.  On the trim automaton, a word with two distinct
+(* Self-product criterion.  On the useful part, a word with two distinct
    accepting runs yields a reachable, co-reachable product state (p, q)
    with p <> q (the runs differ somewhere); conversely such a state splices
    into two distinct accepting runs of one word.  Distinct initial states
    reachable on the same (empty) prefix count as well, which the product's
-   initial pairs cover. *)
-let is_unambiguous nfa =
+   initial pairs cover.  The product is symmetric, so the least pair has
+   p < q. *)
+let off_diagonal_pair nfa =
   if Nfa.epsilon_count nfa > 0 then
-    invalid_arg "Unambiguous.is_unambiguous: ε-transitions not supported";
-  let t = Nfa.trim nfa in
-  let n = Nfa.state_count t in
-  (* forward-reachable product pairs *)
-  let fwd = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let push pq =
-    if not (Hashtbl.mem fwd pq) then begin
-      Hashtbl.add fwd pq ();
-      Queue.add pq queue
-    end
+    invalid_arg "Unambiguous.off_diagonal_pair: ε-transitions not supported";
+  let reach, coreach = Nfa.reachability nfa in
+  let useful s = reach.(s) && coreach.(s) in
+  let n = Nfa.state_count nfa in
+  (* the labelled edges between useful states, forwards and backwards *)
+  let succ = Array.make n [] and pred = Array.make n [] in
+  List.iter
+    (fun (s, c, d) ->
+       if useful s && useful d then begin
+         succ.(s) <- (c, d) :: succ.(s);
+         pred.(d) <- (c, s) :: pred.(d)
+       end)
+    (Nfa.transitions nfa);
+  (* the product pairs reachable from seeds x seeds along equal letters *)
+  let pairs seeds edges =
+    let seen = Hashtbl.create 256 in
+    let queue = Queue.create () in
+    let push pq =
+      if not (Hashtbl.mem seen pq) then begin
+        Hashtbl.add seen pq ();
+        Queue.add pq queue
+      end
+    in
+    let seeds = List.filter useful seeds in
+    List.iter (fun p -> List.iter (fun q -> push (p, q)) seeds) seeds;
+    while not (Queue.is_empty queue) do
+      let p, q = Queue.pop queue in
+      List.iter
+        (fun (c, p') ->
+           List.iter
+             (fun (c', q') -> if Char.equal c c' then push (p', q'))
+             edges.(q))
+        edges.(p)
+    done;
+    seen
   in
-  List.iter
-    (fun p -> List.iter (fun q -> push (p, q)) (Nfa.initials t))
-    (Nfa.initials t);
-  let alphabet = Nfa.alphabet t in
-  while not (Queue.is_empty queue) do
-    let p, q = Queue.pop queue in
-    List.iter
-      (fun c ->
-         List.iter
-           (fun p' -> List.iter (fun q' -> push (p', q')) (Nfa.step t q c))
-           (Nfa.step t p c))
-      (Ucfg_word.Alphabet.chars alphabet)
-  done;
-  (* backward co-reachability over the product *)
-  let co = Hashtbl.create 256 in
-  let bqueue = Queue.create () in
-  let bpush pq =
-    if not (Hashtbl.mem co pq) then begin
-      Hashtbl.add co pq ();
-      Queue.add pq bqueue
-    end
-  in
-  List.iter
-    (fun f -> List.iter (fun f' -> bpush (f, f')) (Nfa.finals t))
-    (Nfa.finals t);
-  (* predecessor map of t *)
-  let preds = Array.make n [] in
-  List.iter
-    (fun (s, c, d) -> preds.(d) <- (s, c) :: preds.(d))
-    (Nfa.transitions t);
-  while not (Queue.is_empty bqueue) do
-    let p, q = Queue.pop bqueue in
-    List.iter
-      (fun (p', c) ->
-         List.iter
-           (fun (q', c') -> if Char.equal c c' then bpush (p', q'))
-           preds.(q))
-      preds.(p)
-  done;
-  not
-    (Hashtbl.fold
-       (fun (p, q) () acc -> acc || (p <> q && Hashtbl.mem co (p, q)))
-       fwd false)
+  let fwd = pairs (Nfa.initials nfa) succ in
+  let bwd = pairs (Nfa.finals nfa) pred in
+  Hashtbl.fold
+    (fun (p, q) () best ->
+       if p < q && Hashtbl.mem bwd (p, q) then
+         match best with
+         | Some pq when pq <= (p, q) -> best
+         | _ -> Some (p, q)
+       else best)
+    fwd None
+
+let is_unambiguous nfa = off_diagonal_pair nfa = None
 
 let count_paths nfa len = Nfa.count_paths_by_length nfa len
 

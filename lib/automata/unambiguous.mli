@@ -6,7 +6,15 @@
     self-product criterion: a trim NFA is ambiguous iff its product with
     itself has a useful off-diagonal state. *)
 
-(** [is_unambiguous nfa] decides unambiguity.  ε-free automata only.
+(** [off_diagonal_pair nfa] is the least pair [(p, q)], [p < q], of
+    useful states (original ids) that the self-product reaches on a common
+    prefix and that co-reach the finals on a common suffix — a proof that
+    some word has two accepting runs; [None] when there is none, i.e. when
+    [nfa] is unambiguous.  ε-free automata only.
+    @raise Invalid_argument on ε-transitions. *)
+val off_diagonal_pair : Nfa.t -> (int * int) option
+
+(** [is_unambiguous nfa] is [off_diagonal_pair nfa = None].
     @raise Invalid_argument on ε-transitions. *)
 val is_unambiguous : Nfa.t -> bool
 

@@ -28,14 +28,14 @@ let check_by_counting ?guard ?factored ?max_len ?max_card g =
   }
 
 let check ?guard ?factored ?max_len ?max_card ?(fast = true) g =
-  let g = Trim.trim g in
-  if not (Analysis.has_finitely_many_trees g) then
+  match Trim.acyclic_trim g with
+  | None ->
     (* a trimmed grammar with a dependency cycle pumps parse trees;
        infinitely many trees over finitely many words forces a word with
        two trees (the trimmed grammar is non-empty, else it is acyclic) *)
     invalid_arg "Ambiguity.check: infinitely many parse trees (grammar is \
                  trivially ambiguous on a finite language)"
-  else
+  | Some (g, _) ->
     match if fast then Static.verdict g else Static.Unknown with
     | Static.Unambiguous ->
       (* certified unambiguous: every word has exactly one tree, so the
@@ -211,7 +211,7 @@ end
 
 (* per-nonterminal census over the (acyclic) dependency graph; the guard
    is polled before every weighted concatenation, the quadratic step *)
-let census guard g =
+let census guard g order =
   let counts = Array.make (Grammar.nonterminal_count g) (Census.empty ()) in
   List.iter
     (fun a ->
@@ -238,7 +238,7 @@ let census guard g =
            (Grammar.rules_of g a)
        in
        counts.(a) <- total)
-    (Analysis.topological_order g);
+    order;
   counts.(Grammar.start g)
 
 let profile ?guard ?factored ?max_len ?max_card g =
@@ -249,8 +249,11 @@ let profile ?guard ?factored ?max_len ?max_card g =
   in
   let g = Trim.trim g in
   let lang = Analysis.language_exn ~guard ?factored ?max_len ?max_card g in
-  if not (Analysis.has_finitely_many_trees g) then
-    invalid_arg "Ambiguity.profile: infinitely many parse trees";
+  let g, order =
+    match Trim.acyclic_trim g with
+    | Some trimmed -> trimmed
+    | None -> invalid_arg "Ambiguity.profile: infinitely many parse trees"
+  in
   let hist = Hashtbl.create 16 in
   let max_trees = ref Bignum.zero in
   let ambiguous_words = ref 0 in
@@ -265,7 +268,7 @@ let profile ?guard ?factored ?max_len ?max_card g =
        let key = Bignum.to_string c in
        Hashtbl.replace hist key
          (1 + Option.value ~default:0 (Hashtbl.find_opt hist key)))
-    (census guard g);
+    (census guard g order);
   let histogram =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []
     |> List.sort (fun (a, _) (b, _) ->
@@ -284,10 +287,10 @@ let ambiguous_witness ?guard ?factored ?max_len ?max_card ?(fast = true) g =
     | Some gd -> gd
     | None -> Ucfg_exec.Exec.current_guard ()
   in
-  let g = Trim.trim g in
-  if not (Analysis.has_finitely_many_trees g) then
+  match Trim.acyclic_trim g with
+  | None ->
     invalid_arg "Ambiguity.ambiguous_witness: infinitely many parse trees"
-  else
+  | Some (g, _) ->
     match if fast then Static.verdict g else Static.Unknown with
     | Static.Ambiguous { word; _ } -> Some word
     | Static.Unambiguous -> None

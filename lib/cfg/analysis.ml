@@ -6,89 +6,6 @@ type overflow = [ `Length_exceeded of int | `Card_exceeded of int ]
 
 exception Overflowed of overflow
 
-(* --- strongly connected components (Tarjan) over the dependency graph --- *)
-
-let scc_of_edges n edges =
-  let adj = Array.make n [] in
-  List.iter (fun (a, b) -> adj.(a) <- b :: adj.(a)) edges;
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comp = Array.make n (-1) in
-  let ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun w ->
-         if index.(w) < 0 then begin
-           strong w;
-           low.(v) <- min low.(v) low.(w)
-         end
-         else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
-      adj.(v);
-    if low.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-          stack := rest;
-          on_stack.(w) <- false;
-          comp.(w) <- !ncomp;
-          if w <> v then pop ()
-      in
-      pop ();
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strong v
-  done;
-  comp
-
-let dependency_cyclic g =
-  let n = nonterminal_count g in
-  let edges = dependency_edges g in
-  let comp = scc_of_edges n edges in
-  (* cyclic iff some SCC has >1 node or a self-loop *)
-  let sizes = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-       Hashtbl.replace sizes c (1 + Option.value ~default:0 (Hashtbl.find_opt sizes c)))
-    comp;
-  Hashtbl.fold (fun _ s acc -> acc || s > 1) sizes false
-  || List.exists (fun (a, b) -> a = b) edges
-
-let topological_order_unchecked g =
-  let n = nonterminal_count g in
-  let visited = Array.make n false in
-  let order = ref [] in
-  let rec visit a =
-    if not visited.(a) then begin
-      visited.(a) <- true;
-      List.iter
-        (fun rhs ->
-           List.iter (function N i -> visit i | T _ -> ()) rhs)
-        (rules_of g a);
-      order := a :: !order
-    end
-  in
-  for a = 0 to n - 1 do
-    visit a
-  done;
-  (* post-order: dependencies first *)
-  List.rev !order
-
-let topological_order g =
-  if dependency_cyclic g then
-    invalid_arg "Analysis.topological_order: cyclic grammar";
-  topological_order_unchecked g
-
 (* --- exact language ------------------------------------------------------ *)
 
 (* below this many (u, v) pairs a concatenation step stays sequential *)
@@ -221,23 +138,25 @@ let language_table ?guard ?(packed = true) ?(factored = false)
     end
   in
   try
-    if acyclic || not (dependency_cyclic g) then
-      (* acyclic: one bottom-up pass in dependency order suffices *)
-      List.iter
-        (fun a ->
-           if not (seeded a) then
-             List.iter
-               (fun rhs -> ignore (apply_rule { lhs = a; rhs }))
-               (rules_of g a))
-        (topological_order_unchecked g)
-    else begin
-      let changed = ref true in
-      while !changed do
-        Ucfg_exec.Guard.check guard;
-        changed := false;
-        List.iter (fun r -> if apply_rule r then changed := true) (rules g)
-      done
-    end;
+    (match
+       if acyclic then Some (Facts.postorder g) else Facts.topological_order g
+     with
+     | Some order ->
+       (* acyclic: one bottom-up pass in dependency order suffices *)
+       List.iter
+         (fun a ->
+            if not (seeded a) then
+              List.iter
+                (fun rhs -> ignore (apply_rule { lhs = a; rhs }))
+                (rules_of g a))
+         order
+     | None ->
+       let changed = ref true in
+       while !changed do
+         Ucfg_exec.Guard.check guard;
+         changed := false;
+         List.iter (fun r -> if apply_rule r then changed := true) (rules g)
+       done);
     if !truncated then Error (`Length_exceeded max_len) else Ok sets
   with Overflowed o -> Error o
 
@@ -265,75 +184,12 @@ let language_table_exn ?guard ?packed ?factored ?acyclic ?seeds ?max_len
     (language_table ?guard ?packed ?factored ?acyclic ?seeds ?max_len ?max_card
        g)
 
-(* derives_nonempty.(a): a derives at least one word of length >= 1 *)
-let derives_nonempty g =
-  let n = nonterminal_count g in
-  let prod = Trim.productive g in
-  let res = Array.make n false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         if (not res.(lhs))
-         && List.for_all (function T _ -> true | N i -> prod.(i)) rhs
-         && List.exists (function T _ -> true | N i -> res.(i)) rhs
-         then begin
-           res.(lhs) <- true;
-           changed := true
-         end)
-      (rules g)
-  done;
-  res
-
-let is_finite g =
-  let g = Trim.trim g in
-  let n = nonterminal_count g in
-  if n = 0 then true
-  else begin
-    let nonempty = derives_nonempty g in
-    let edges = dependency_edges g in
-    let comp = scc_of_edges n edges in
-    (* A rule occurrence lhs -> ... B ... is "growing" when the siblings of
-       B can derive a nonempty word; a growing edge inside an SCC lets us
-       pump: A =>+ u A v with |uv| >= 1. *)
-    let growing_edge_in_scc =
-      List.exists
-        (fun { lhs; rhs } ->
-           List.exists
-             (function
-               | T _ -> false
-               | N b ->
-                 comp.(lhs) = comp.(b)
-                 && begin
-                   (* siblings of this occurrence of b *)
-                   let rec sib_nonempty skipped = function
-                     | [] -> false
-                     | T _ :: _ -> true
-                     | N i :: rest ->
-                       if i = b && not skipped then sib_nonempty true rest
-                       else nonempty.(i) || sib_nonempty skipped rest
-                   in
-                   sib_nonempty false rhs
-                 end)
-             rhs)
-        (rules g)
-    in
-    not growing_edge_in_scc
-  end
-
-let has_finitely_many_trees g =
-  let g = Trim.trim g in
-  not (dependency_cyclic g)
-
 let count_trees_total g =
-  let g = Trim.trim g in
-  if nonterminal_count g = 0 then Bignum.zero
-  else if dependency_cyclic g then
+  match Trim.acyclic_trim g with
+  | None ->
     invalid_arg "Analysis.count_trees_total: infinitely many parse trees"
-  else begin
-    let n = nonterminal_count g in
-    let memo = Array.make n Bignum.zero in
+  | Some (g, order) ->
+    let memo = Array.make (nonterminal_count g) Bignum.zero in
     List.iter
       (fun a ->
          let per_rule rhs =
@@ -345,18 +201,14 @@ let count_trees_total g =
              Bignum.one rhs
          in
          memo.(a) <- Bignum.sum (List.map per_rule (rules_of g a)))
-      (topological_order_unchecked g);
+      order;
     memo.(start g)
-  end
 
 let fixed_lengths g =
-  let g = Trim.trim g in
-  if nonterminal_count g = 0 then Some (g, [||])
-  else if dependency_cyclic g then
-    invalid_arg "Analysis.fixed_lengths: cyclic grammar"
-  else begin
-    let n = nonterminal_count g in
-    let lens = Array.make n (-1) in
+  match Trim.acyclic_trim g with
+  | None -> invalid_arg "Analysis.fixed_lengths: cyclic grammar"
+  | Some (g, order) ->
+    let lens = Array.make (nonterminal_count g) (-1) in
     let consistent = ref true in
     List.iter
       (fun a ->
@@ -371,51 +223,27 @@ let fixed_lengths g =
               if lens.(a) < 0 then lens.(a) <- len
               else if lens.(a) <> len then consistent := false)
            (rules_of g a))
-      (topological_order_unchecked g);
+      order;
     if !consistent then Some (g, lens) else None
-  end
 
 let witness_tree g a =
-  let n = nonterminal_count g in
-  (* minimal parse-tree depth per nonterminal; infinity = unproductive *)
-  let inf = max_int / 2 in
-  let depth = Array.make n inf in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         let d =
-           List.fold_left
-             (fun acc sym ->
-                match sym with T _ -> acc | N i -> max acc depth.(i))
-             0 rhs
-         in
-         if d < inf && d + 1 < depth.(lhs) then begin
-           depth.(lhs) <- d + 1;
-           changed := true
-         end)
-      (rules g)
-  done;
-  if depth.(a) >= inf then None
+  let depth = Facts.min_depth g in
+  if depth.(a) >= Facts.unproductive_depth then None
   else begin
     let rec build a =
       (* a depth-minimal rule guarantees termination even on cyclic
          grammars *)
-      let best = ref None in
-      List.iter
-        (fun rhs ->
-           let d =
-             List.fold_left
-               (fun acc sym ->
-                  match sym with T _ -> acc | N i -> max acc depth.(i))
-               0 rhs
-           in
-           match !best with
-           | Some (bd, _) when bd <= d -> ()
-           | _ -> if d < inf then best := Some (d, rhs))
-        (rules_of g a);
-      match !best with
+      let best =
+        List.fold_left
+          (fun best rhs ->
+             let d = Facts.rhs_depth depth rhs in
+             match best with
+             | Some (bd, _) when bd <= d -> best
+             | _ when d < Facts.unproductive_depth -> Some (d, rhs)
+             | _ -> best)
+          None (rules_of g a)
+      in
+      match best with
       | None -> assert false
       | Some (_, rhs) ->
         Parse_tree.Node

@@ -2,9 +2,10 @@
 
     The paper is exclusively about finite languages, where everything about
     a grammar is decidable by exhaustive computation: the exact language
-    (a Kleene fixpoint), finiteness (growing cycles), the total number of
-    parse trees (a DP over the acyclic dependency graph), and the
-    fixed-length property of Observation 9. *)
+    (a Kleene fixpoint), the total number of parse trees (a DP over the
+    acyclic dependency graph), and the fixed-length property of
+    Observation 9.  Finiteness and the dependency order are structural
+    facts, in {!Facts}. *)
 
 open Ucfg_lang
 module Bignum = Ucfg_util.Bignum
@@ -41,7 +42,7 @@ type overflow = [ `Length_exceeded of int | `Card_exceeded of int ]
     for the ones above the change.
 
     [~acyclic:true] asserts that the dependency graph is acyclic (e.g. a
-    length-annotated grammar) and skips the per-call SCC test that
+    length-annotated grammar) and skips the per-call cycle test that
     otherwise decides between the one-pass and the iterated fixpoint;
     passing it on a cyclic grammar is unspecified.
 
@@ -87,15 +88,6 @@ val language_table_exn :
   ?seeds:Lang.t option array ->
   ?max_len:int -> ?max_card:int -> Grammar.t -> Lang.t array
 
-(** [is_finite g] decides finiteness of [L(g)]: after trimming, the
-    language is infinite iff some strongly connected component of the
-    dependency graph contains a "growing" rule occurrence (pumping). *)
-val is_finite : Grammar.t -> bool
-
-(** [has_finitely_many_trees g] decides whether [g] has finitely many parse
-    trees: true iff the trimmed dependency graph is acyclic. *)
-val has_finitely_many_trees : Grammar.t -> bool
-
 (** [count_trees_total g] is the number of parse trees of [g] (all words
     together).  @raise Invalid_argument when there are infinitely many. *)
 val count_trees_total : Grammar.t -> Bignum.t
@@ -107,12 +99,6 @@ val count_trees_total : Grammar.t -> Bignum.t
     [None] when some nonterminal derives words of different lengths.
     @raise Invalid_argument when the trimmed grammar is cyclic. *)
 val fixed_lengths : Grammar.t -> (Grammar.t * int array) option
-
-(** [topological_order g] lists the nonterminals of [g] so that every
-    nonterminal comes after all nonterminals occurring in its rules
-    (dependencies first).
-    @raise Invalid_argument when the dependency graph is cyclic. *)
-val topological_order : Grammar.t -> int list
 
 (** [witness_tree g a] is some parse tree rooted at [a], if [a] is
     productive.  Deterministic (first usable rule, recursively). *)

@@ -2,24 +2,6 @@ open Grammar
 
 let is_cnf = Grammar.is_cnf
 
-let nullable g =
-  let n = nonterminal_count g in
-  let nul = Array.make n false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         if (not nul.(lhs))
-         && List.for_all (function N i -> nul.(i) | T _ -> false) rhs
-         then begin
-           nul.(lhs) <- true;
-           changed := true
-         end)
-      (rules g)
-  done;
-  nul
-
 (* START: fresh start symbol S0 with the single rule S0 -> S, so the start
    symbol never occurs on a right-hand side. *)
 let add_start g =
@@ -103,7 +85,7 @@ let binarize g =
 (* DEL: eliminate ε-rules, keeping the language.  Operates on right-hand
    sides of length <= 2.  Only the start symbol may keep an ε-rule. *)
 let eliminate_epsilon g =
-  let nul = nullable g in
+  let nul = Facts.nullable g in
   let variants { lhs; rhs } =
     match rhs with
     | [] -> []

@@ -17,6 +17,3 @@ val of_grammar : Grammar.t -> Grammar.t
 (** [ensure g] is [g] when it is already CNF and trim, otherwise
     [of_grammar g]. *)
 val ensure : Grammar.t -> Grammar.t
-
-(** [nullable g] marks nonterminals deriving [ε]. *)
-val nullable : Grammar.t -> bool array

@@ -2,7 +2,7 @@ open Grammar
 module Bignum = Ucfg_util.Bignum
 
 (* A plan hoists everything that does not depend on the word out of the
-   per-word DP: trimming, the finiteness check (a Tarjan pass), and the
+   per-word DP: trimming, the finiteness check (a DFS), and the
    rule arrays with a per-lhs rule index.  [Ambiguity.profile] counts every
    word of a language against one grammar, so paying those once instead of
    per word is the difference between O(words · |G|) setup and O(|G|). *)
@@ -11,22 +11,12 @@ type plan = {
   rules_arr : rule array;
   rhs_arr : sym array array;
   by_lhs_idx : int array array;  (* rule indices per lhs, rule order *)
-  degenerate : bool;             (* trimmed to nothing: every count is 0 *)
 }
 
 let plan g =
-  let g = Trim.trim g in
-  if nonterminal_count g = 0 then
-    {
-      trimmed = g;
-      rules_arr = [||];
-      rhs_arr = [||];
-      by_lhs_idx = [||];
-      degenerate = true;
-    }
-  else if not (Analysis.has_finitely_many_trees g) then
-    invalid_arg "Count_word.trees: infinitely many parse trees"
-  else begin
+  match Trim.acyclic_trim g with
+  | None -> invalid_arg "Count_word.trees: infinitely many parse trees"
+  | Some (g, _) ->
     let rules_arr = Array.of_list (rules g) in
     let by_lhs = Array.make (nonterminal_count g) [] in
     Array.iteri (fun ridx r -> by_lhs.(r.lhs) <- ridx :: by_lhs.(r.lhs)) rules_arr;
@@ -35,9 +25,7 @@ let plan g =
       rules_arr;
       rhs_arr = Array.map (fun r -> Array.of_list r.rhs) rules_arr;
       by_lhs_idx = Array.map (fun l -> Array.of_list (List.rev l)) by_lhs;
-      degenerate = false;
     }
-  end
 
 (* The DP is written once over a counting semiring and instantiated
    twice: overflow-checked native ints for the common case (ambiguity
@@ -109,11 +97,9 @@ module Int_dp = Dp (Semiring.Checked_int)
 module Big_dp = Dp (Semiring.Counting)
 
 let trees_with p w =
-  if p.degenerate then Bignum.zero
-  else
-    match Int_dp.run p w with
-    | v -> Bignum.of_int v
-    | exception Semiring.Checked_int.Overflow -> Big_dp.run p w
+  match Int_dp.run p w with
+  | v -> Bignum.of_int v
+  | exception Semiring.Checked_int.Overflow -> Big_dp.run p w
 
 let trees g w = trees_with (plan g) w
 

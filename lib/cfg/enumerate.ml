@@ -1,11 +1,9 @@
 open Grammar
 
 let trees g =
-  let g = Trim.trim g in
-  if nonterminal_count g = 0 then Seq.empty
-  else if not (Analysis.has_finitely_many_trees g) then
-    invalid_arg "Enumerate.trees: infinitely many parse trees"
-  else begin
+  match Trim.acyclic_trim g with
+  | None -> invalid_arg "Enumerate.trees: infinitely many parse trees"
+  | Some (g, _) ->
     (* expand rules in declaration order; acyclicity bounds the recursion *)
     let rec trees_of a () =
       (List.to_seq (rules_of g a)
@@ -24,7 +22,6 @@ let trees g =
           (trees_of b)
     in
     trees_of (start g)
-  end
 
 let derivation_words g = Seq.map Parse_tree.yield (trees g)
 

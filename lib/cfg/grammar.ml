@@ -13,6 +13,19 @@ type t = {
   id : int;  (* process-unique, for memoising derived structures *)
 }
 
+(* The duplicate-rule table hashes the whole rule: the polymorphic hash
+   reads only a bounded prefix of the rhs list, so rules sharing a long
+   prefix (one per word of a finite language) would share buckets. *)
+module Rule_tbl = Hashtbl.Make (struct
+    type t = rule
+
+    let equal = ( = )
+
+    let hash { lhs; rhs } =
+      let code = function T c -> Char.code c | N i -> 256 + i in
+      Hashtbl.hash (List.fold_left (fun h s -> (h * 65599) + code s) lhs rhs)
+  end)
+
 (* Grammars are built inside pool workers too (the minimal-grammar search),
    so the id source must be race-free. *)
 let next_id = Atomic.make 0
@@ -37,13 +50,13 @@ let make ~alphabet ~names ~rules ~start =
     rules;
   (* Collapse duplicate rules while preserving first-occurrence order: the
      rule *set* semantics of Definition 2. *)
-  let seen = Hashtbl.create 64 in
+  let seen = Rule_tbl.create 64 in
   let rules =
     List.filter
       (fun r ->
-         if Hashtbl.mem seen r then false
+         if Rule_tbl.mem seen r then false
          else begin
-           Hashtbl.add seen r ();
+           Rule_tbl.add seen r ();
            true
          end)
       rules

@@ -1,76 +1,5 @@
 open Grammar
 
-module Cset = Set.Make (Char)
-
-(* --- nullability and FIRST/LAST sets (Kleene fixpoints) ------------------ *)
-
-let nullable g =
-  let n = nonterminal_count g in
-  let null = Array.make n false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         if
-           (not null.(lhs))
-           && List.for_all (function T _ -> false | N i -> null.(i)) rhs
-         then begin
-           null.(lhs) <- true;
-           changed := true
-         end)
-      (rules g)
-  done;
-  null
-
-let rhs_nullable null rhs =
-  List.for_all (function T _ -> false | N i -> null.(i)) rhs
-
-let rhs_first ~nullable ~first rhs =
-  let rec walk acc = function
-    | [] -> acc
-    | T c :: _ -> Cset.add c acc
-    | N i :: rest ->
-      let acc = Cset.union first.(i) acc in
-      if nullable.(i) then walk acc rest else acc
-  in
-  walk Cset.empty rhs
-
-let rhs_last ~nullable ~last rhs =
-  let rec walk acc = function
-    | [] -> acc
-    | T c :: _ -> Cset.add c acc
-    | N i :: rest ->
-      let acc = Cset.union last.(i) acc in
-      if nullable.(i) then walk acc rest else acc
-  in
-  walk Cset.empty (List.rev rhs)
-
-let directional_sets g walk_of_rhs =
-  let n = nonterminal_count g in
-  let sets = Array.make n Cset.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         let s = Cset.union sets.(lhs) (walk_of_rhs sets rhs) in
-         if not (Cset.equal s sets.(lhs)) then begin
-           sets.(lhs) <- s;
-           changed := true
-         end)
-      (rules g)
-  done;
-  sets
-
-let first_sets g =
-  let null = nullable g in
-  directional_sets g (fun first rhs -> rhs_first ~nullable:null ~first rhs)
-
-let last_sets g =
-  let null = nullable g in
-  directional_sets g (fun last rhs -> rhs_last ~nullable:null ~last rhs)
-
 (* --- derived-length ranges (acyclic only) -------------------------------- *)
 
 (* word lengths of an acyclic grammar can still be astronomically large
@@ -79,12 +8,7 @@ let len_cap = max_int / 4
 
 let ( +! ) a b = if a >= len_cap - b then len_cap else a + b
 
-let length_ranges g =
-  let order =
-    try Analysis.topological_order g
-    with Invalid_argument _ ->
-      invalid_arg "Static.length_ranges: cyclic grammar"
-  in
+let length_ranges g order =
   let n = nonterminal_count g in
   let ranges = Array.make n None in
   List.iter
@@ -122,39 +46,29 @@ let length_ranges g =
      (iii) every rule has at most one variable-length symbol — so, the
           rule being fixed, the word length forces every split point.
    Induction on derivation depth then gives a unique tree per word. *)
-let certificate_trimmed g =
-  let null = nullable g in
-  let first = first_sets g in
-  let ranges = length_ranges g in
+let certificate_trimmed g order =
+  let nullable = Facts.nullable g in
+  let first = Facts.first_sets g ~nullable in
+  let ranges = length_ranges g order in
   let variable = function
     | T _ -> false
     | N i -> (match ranges.(i) with None -> true | Some (lo, hi) -> lo <> hi)
   in
   let nt_ok a =
     let rhss = rules_of g a in
-    let firsts = List.map (fun rhs -> rhs_first ~nullable:null ~first rhs) rhss in
-    let nullables = List.filter (rhs_nullable null) rhss in
-    List.length nullables <= 1
-    && (let rec pairwise_disjoint = function
-          | [] -> true
-          | f :: rest ->
-            List.for_all (fun f' -> Cset.disjoint f f') rest
-            && pairwise_disjoint rest
-        in
-        pairwise_disjoint firsts)
+    List.length (List.filter (Facts.rhs_nullable nullable) rhss) <= 1
+    && Facts.first_overlap
+         (List.map (Facts.rhs_first ~nullable ~first) rhss) = None
     && List.for_all
          (fun rhs -> List.length (List.filter variable rhs) <= 1)
          rhss
   in
-  let ok = ref true in
-  for a = 0 to nonterminal_count g - 1 do
-    if not (nt_ok a) then ok := false
-  done;
-  !ok
+  List.for_all nt_ok (List.init (nonterminal_count g) Fun.id)
 
 let certificate g =
-  let g = Trim.trim g in
-  Analysis.has_finitely_many_trees g && certificate_trimmed g
+  match Trim.acyclic_trim g with
+  | Some (g, order) -> certificate_trimmed g order
+  | None -> false
 
 (* --- the bounded tree-count probe ---------------------------------------- *)
 
@@ -178,11 +92,12 @@ let truncate_map k m =
             if cnt < k then (Smap.add w c acc, cnt + 1) else (acc, cnt))
          m (Smap.empty, 0))
 
-let probe ?(max_words = 64) ?(max_len = 64) g =
-  let order =
-    try Analysis.topological_order g
-    with Invalid_argument _ -> invalid_arg "Static.probe: cyclic grammar"
-  in
+(* per nonterminal, the probe keeps at most this many words, of at most
+   this length *)
+let max_words = 64
+let max_len = 64
+
+let probe g order =
   let n = nonterminal_count g in
   let counts = Array.make n Smap.empty in
   let witness = ref None in
@@ -237,11 +152,12 @@ type verdict =
   | Ambiguous of { nonterminal : string; word : string }
   | Unknown
 
-let verdict ?probe_words ?probe_len g =
-  let g = Trim.trim g in
-  if not (Analysis.has_finitely_many_trees g) then Unknown
-  else if certificate_trimmed g then Unambiguous
-  else
-    match probe ?max_words:probe_words ?max_len:probe_len g with
-    | Some (nonterminal, word) -> Ambiguous { nonterminal; word }
-    | None -> Unknown
+let verdict g =
+  match Trim.acyclic_trim g with
+  | None -> Unknown
+  | Some (g, order) ->
+    if certificate_trimmed g order then Unambiguous
+    else
+      match probe g order with
+      | Some (nonterminal, word) -> Ambiguous { nonterminal; word }
+      | None -> Unknown

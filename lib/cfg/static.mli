@@ -3,8 +3,9 @@
     {!Ambiguity.check} decides unambiguity by exhaustively counting parse
     trees, which is exponential in word length.  This module provides the
     conservative, polynomial-time layer underneath the linter and the
-    {!Ambiguity} fast path: cheap syntactic analyses (nullability,
-    FIRST/LAST sets, derived-length ranges) feeding two {e sound} verdicts:
+    {!Ambiguity} fast path: cheap syntactic analyses (nullability and
+    FIRST sets from {!Facts}, derived-length ranges) feeding two {e sound}
+    verdicts:
 
     - a {b certificate of unambiguity}: every nonterminal has pairwise
       first-letter-disjoint rules, at most one nullable rule, and every
@@ -18,37 +19,12 @@
     and a conclusive answer is always correct (the agreement with
     {!Ambiguity.check} is property-tested). *)
 
-module Cset : Set.S with type elt = char
-
-(** [nullable g] marks nonterminals deriving the empty word. *)
-val nullable : Grammar.t -> bool array
-
-(** [rhs_nullable null rhs] — every symbol of [rhs] is a nullable
-    nonterminal (so the right-hand side derives [ε]). *)
-val rhs_nullable : bool array -> Grammar.sym list -> bool
-
-(** [first_sets g] is, per nonterminal, the set of first letters of its
-    nonempty derivable words (a Kleene fixpoint; cyclic grammars fine). *)
-val first_sets : Grammar.t -> Cset.t array
-
-(** [last_sets g] — symmetrically, the possible last letters. *)
-val last_sets : Grammar.t -> Cset.t array
-
-(** [rhs_first ~nullable ~first rhs] is the FIRST set of a right-hand
-    side: first letters contributed by each symbol while all symbols
-    before it are nullable. *)
-val rhs_first :
-  nullable:bool array -> first:Cset.t array -> Grammar.sym list -> Cset.t
-
-(** [rhs_last ~nullable ~last rhs] — the mirror of {!rhs_first}. *)
-val rhs_last :
-  nullable:bool array -> last:Cset.t array -> Grammar.sym list -> Cset.t
-
-(** [length_ranges g] is, per nonterminal, [Some (min, max)] over the
-    lengths of its derivable words ([None] when it derives nothing).
-    [max] saturates at a large sentinel rather than overflowing.
-    @raise Invalid_argument when the dependency graph is cyclic. *)
-val length_ranges : Grammar.t -> (int * int) option array
+(** [length_ranges g order] is, per nonterminal, [Some (min, max)] over
+    the lengths of its derivable words ([None] when it derives nothing),
+    for an acyclic [g] with [order] its topological order
+    ({!Facts.topological_order}).  [max] saturates at a large sentinel
+    rather than overflowing. *)
+val length_ranges : Grammar.t -> int list -> (int * int) option array
 
 (** [certificate g] — the sound unambiguity certificate, checked on the
     trimmed grammar: trimmed dependency graph acyclic, and for every
@@ -57,17 +33,15 @@ val length_ranges : Grammar.t -> (int * int) option array
     [true] implies [g] is unambiguous; [false] implies nothing. *)
 val certificate : Grammar.t -> bool
 
-(** [probe ?max_words ?max_len g] under-approximates per-word parse-tree
-    counts bottom-up, keeping at most [max_words] words (lexicographically
-    least, default 64) of length at most [max_len] (default 64) per
-    nonterminal, with saturating counts.  Truncation only drops words, so
-    every reported count is a lower bound: a count of 2 at a useful
-    nonterminal of the trimmed grammar is a real ambiguity.  Returns the
-    first [(nonterminal name, word)] witness found, scanning nonterminals
-    bottom-up.  Expects an acyclic trimmed grammar.
-    @raise Invalid_argument when the dependency graph is cyclic. *)
-val probe :
-  ?max_words:int -> ?max_len:int -> Grammar.t -> (string * string) option
+(** [probe g order] under-approximates per-word parse-tree counts
+    bottom-up along [order], keeping at most 64 words (lexicographically
+    least) of length at most 64 per nonterminal, with saturating counts.
+    Truncation only drops words, so every reported count is a lower
+    bound: a count of 2 at a useful nonterminal of the trimmed grammar is
+    a real ambiguity.  Returns the first [(nonterminal name, word)]
+    witness found, scanning nonterminals bottom-up.  Expects an acyclic trimmed grammar and its topological
+    order, as {!Trim.acyclic_trim} returns them. *)
+val probe : Grammar.t -> int list -> (string * string) option
 
 type verdict =
   | Unambiguous  (** certified by {!certificate} *)
@@ -76,10 +50,8 @@ type verdict =
           [nonterminal] (a name of the trimmed grammar) by {!probe} *)
   | Unknown  (** neither check is conclusive — fall back to counting *)
 
-(** [verdict ?probe_words ?probe_len g] trims [g] and runs the certificate
-    then the probe.  Returns [Unknown] when the trimmed grammar is cyclic
+(** [verdict g] trims [g] and runs the certificate then the probe.  Returns [Unknown] when the trimmed grammar is cyclic
     (infinitely many parse trees — {!Ambiguity.check} rejects those
     upstream) or when both checks are inconclusive.  Sound: [Unambiguous]
     and [Ambiguous _] are never wrong. *)
-val verdict :
-  ?probe_words:int -> ?probe_len:int -> Grammar.t -> verdict
+val verdict : Grammar.t -> verdict

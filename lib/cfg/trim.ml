@@ -1,77 +1,35 @@
 open Grammar
 
-let productive g =
-  let n = nonterminal_count g in
-  let prod = Array.make n false in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun { lhs; rhs } ->
-         if not prod.(lhs) then begin
-           let all_ok =
-             List.for_all (function T _ -> true | N i -> prod.(i)) rhs
-           in
-           if all_ok then begin
-             prod.(lhs) <- true;
-             changed := true
-           end
-         end)
-      (rules g)
-  done;
-  prod
+let useful g = Facts.useful g ~productive:(Facts.productive g)
 
-let reachable_from g prod root =
-  let n = nonterminal_count g in
-  let reach = Array.make n false in
-  let rec visit a =
-    if not reach.(a) then begin
-      reach.(a) <- true;
-      List.iter
-        (fun rhs ->
-           (* only rules usable in a parse tree: all nonterminals productive *)
-           if List.for_all (function T _ -> true | N i -> prod.(i)) rhs then
-             List.iter (function N i -> visit i | T _ -> ()) rhs)
-        (rules_of g a)
-    end
-  in
-  if prod.(root) then visit root;
-  reach
-
-let reachable g = reachable_from g (productive g) (start g)
-
-let useful g =
-  let prod = productive g in
-  let reach = reachable_from g prod (start g) in
-  Array.init (nonterminal_count g) (fun i -> prod.(i) && reach.(i))
-
-let trim g =
-  let keep = useful g in
-  keep.(start g) <- true;
-  let n = nonterminal_count g in
-  let remap = Array.make n (-1) in
-  let next = ref 0 in
-  for i = 0 to n - 1 do
-    if keep.(i) then begin
-      remap.(i) <- !next;
-      incr next
-    end
-  done;
-  let new_names = Array.make !next "" in
-  for i = 0 to n - 1 do
-    if keep.(i) then new_names.(remap.(i)) <- name g i
-  done;
-  let keep_rule { lhs; rhs } =
-    keep.(lhs)
-    && List.for_all (function N i -> keep.(i) | T _ -> true) rhs
-  in
+(* [g] restricted to the [kept] nonterminals and the rules between them *)
+let restrict g kept =
+  let ids = List.filter (Array.get kept) (List.init (nonterminal_count g) Fun.id) in
+  let remap = Array.make (nonterminal_count g) (-1) in
+  List.iteri (fun i a -> remap.(a) <- i) ids;
   let remap_sym = function T c -> T c | N i -> N remap.(i) in
   let new_rules =
-    List.filter keep_rule (rules g)
-    |> List.map (fun { lhs; rhs } ->
-        { lhs = remap.(lhs); rhs = List.map remap_sym rhs })
+    List.filter_map
+      (fun { lhs; rhs } ->
+         if Facts.kept_rule kept lhs rhs then
+           Some { lhs = remap.(lhs); rhs = List.map remap_sym rhs }
+         else None)
+      (rules g)
   in
-  make ~alphabet:(alphabet g) ~names:new_names ~rules:new_rules
-    ~start:remap.(start g)
+  make ~alphabet:(alphabet g)
+    ~names:(Array.of_list (List.map (name g) ids))
+    ~rules:new_rules ~start:remap.(start g)
 
-let is_trim g = Array.for_all (fun b -> b) (useful g)
+let trim g = restrict g (Facts.kept g ~useful:(useful g))
+
+let is_trim g = Array.for_all Fun.id (useful g)
+
+let acyclic_trim g =
+  let useful = useful g in
+  if not (Facts.has_finitely_many_trees g ~useful) then None
+  else begin
+    let kept = Facts.kept g ~useful in
+    (* nothing to drop: keep [g] itself, and with it its id *)
+    let trimmed = if Array.for_all Fun.id kept then g else restrict g kept in
+    Some (trimmed, Facts.postorder trimmed)
+  end

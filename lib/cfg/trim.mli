@@ -2,17 +2,11 @@
 
     Section 2 assumes grammars have no redundant nonterminals: every
     nonterminal appears in some parse tree.  That is exactly the
-    productive-and-reachable ("useful") restriction computed here. *)
+    productive-and-reachable ("useful") restriction computed here, on top
+    of the facts of {!Facts}. *)
 
-(** [productive g] marks nonterminals that derive at least one terminal
-    word. *)
-val productive : Grammar.t -> bool array
-
-(** [reachable g] marks nonterminals reachable from the start symbol
-    through rules whose nonterminals are all productive. *)
-val reachable : Grammar.t -> bool array
-
-(** [useful g] marks nonterminals appearing in at least one parse tree. *)
+(** [useful g] marks nonterminals appearing in at least one parse tree
+    ({!Facts.useful} over {!Facts.productive}). *)
 val useful : Grammar.t -> bool array
 
 (** [trim g] restricts [g] to its useful nonterminals (the start symbol is
@@ -22,3 +16,10 @@ val trim : Grammar.t -> Grammar.t
 
 (** [is_trim g] holds when every nonterminal of [g] is useful. *)
 val is_trim : Grammar.t -> bool
+
+(** [acyclic_trim g] is [Some (trim g, order)] when [g] has finitely many
+    parse trees, with [order] the topological order of the trimmed grammar
+    ({!Facts.postorder}: dependencies first); [None] otherwise.  When [trim]
+    would drop nothing, the grammar returned is [g] itself, so no grammar
+    is rebuilt and structures memoised on {!Grammar.id} stay valid. *)
+val acyclic_trim : Grammar.t -> (Grammar.t * int list) option

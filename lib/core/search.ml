@@ -180,7 +180,7 @@ let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
       | Ok lg ->
         Lang.equal lg l
         && (not unambiguous
-            || (Analysis.has_finitely_many_trees g
+            || (Facts.has_finitely_many_trees g ~useful:(Trim.useful g)
                 && Ambiguity.is_unambiguous ~guard g))
     in
     match memo_tbl with

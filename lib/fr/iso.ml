@@ -1,17 +1,12 @@
 open Ucfg_cfg
 module G = Grammar
 
-let trivially_empty g =
-  G.nonterminal_count g = 0 || G.rules_of g (G.start g) = []
-
 let drep_of_cfg g =
-  let g = Trim.trim g in
-  if trivially_empty g then
+  match Trim.acyclic_trim g with
+  | None -> invalid_arg "Iso.drep_of_cfg: cyclic grammar"
+  | Some (g, _) when G.rules_of g (G.start g) = [] ->
     Drep.make ~alphabet:(G.alphabet g) ~nodes:[| Drep.Union [] |] ~root:0
-  else begin
-    if not (Analysis.has_finitely_many_trees g) then
-      invalid_arg "Iso.drep_of_cfg: cyclic grammar";
-    let order = Analysis.topological_order g in
+  | Some (g, order) ->
     (* nodes are emitted bottom-up: letters first, then per nonterminal (in
        dependency order) its rule products followed by its union gate *)
     let nodes = ref [] in
@@ -56,7 +51,6 @@ let drep_of_cfg g =
     Drep.make ~alphabet:(G.alphabet g)
       ~nodes:(Array.of_list (List.rev !nodes))
       ~root:nt_gate.(G.start g)
-  end
 
 (* The language-kernel end of the correspondence: a tier-T2 circuit
    ({!Ucfg_lang.Factored}) is a d-representation whose product gates all

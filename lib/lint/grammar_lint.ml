@@ -82,21 +82,17 @@ let cycle_to_string g cyc =
 
 (* --- the linter ---------------------------------------------------------- *)
 
-let run ?probe_words ?probe_len ?(semantic = false) g =
+let run g =
   let n = nonterminal_count g in
-  let prod = Trim.productive g in
-  let reach = Trim.reachable g in
-  let useful i = prod.(i) && reach.(i) in
-  let finite = Analysis.is_finite g in
-  let finitely_many_trees = Analysis.has_finitely_many_trees g in
-  let acyclic =
-    match Analysis.topological_order g with
-    | (_ : int list) -> true
-    | exception Invalid_argument _ -> false
-  in
-  let null = Static.nullable g in
-  let first = Static.first_sets g in
-  let last = Static.last_sets g in
+  let prod = Facts.productive g in
+  let useful_nt = Facts.useful g ~productive:prod in
+  let useful i = useful_nt.(i) in
+  let finite = Facts.is_finite g ~useful:useful_nt in
+  let finitely_many_trees = Facts.has_finitely_many_trees g ~useful:useful_nt in
+  let order = Facts.topological_order g in
+  let null = Facts.nullable g in
+  let first = Facts.first_sets g ~nullable:null in
+  let last = Facts.last_sets g ~nullable:null in
   let usable rhs = List.for_all (function T _ -> true | N i -> prod.(i)) rhs in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -107,7 +103,7 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
         (D.make ~code:"G001" ~severity:D.Warning ~loc:(D.Nonterminal (name g i))
            ~hint:"remove it, or add a rule deriving a terminal word"
            "nonterminal derives no terminal word; rules mentioning it are dead")
-    else if (not reach.(i)) && i <> start g then
+    else if (not (useful i)) && i <> start g then
       emit
         (D.make ~code:"G002" ~severity:D.Warning ~loc:(D.Nonterminal (name g i))
            ~hint:"remove it, or reference it from a reachable rule"
@@ -154,21 +150,16 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
       (fun { lhs; rhs } ->
          if List.length rhs < 2 then []
          else
-           List.filteri
-             (fun i _ -> i >= 0)
-             (List.mapi (fun i s -> (i, s)) rhs)
-           |> List.filter_map (fun (i, s) ->
-               match s with
-               | T _ -> None
-               | N b ->
-                 let others_nullable =
-                   List.for_all
-                     (fun (j, s') ->
-                        j = i
-                        || (match s' with T _ -> false | N k -> null.(k)))
-                     (List.mapi (fun j s' -> (j, s')) rhs)
-                 in
-                 if others_nullable then Some (lhs, b) else None))
+           List.concat
+             (List.mapi
+                (fun i s ->
+                   match s with
+                   | N b
+                     when Facts.rhs_nullable null
+                            (List.filteri (fun j _ -> j <> i) rhs) ->
+                     [ (lhs, b) ]
+                   | _ -> [])
+                rhs))
       (rules g)
   in
   let cycle_check code what hint edges =
@@ -255,24 +246,27 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
          | _ -> ())
       (rules_of g a)
   done;
-  (* G010: CNF readiness *)
-  let start_on_rhs =
-    List.exists
-      (fun { rhs; _ } ->
-         List.exists (function N i -> i = start g | T _ -> false) rhs)
-      (rules g)
+  (* G010 / G011: CNF readiness, and the first rule mentioning the start
+     symbol *)
+  let start_site =
+    List.find_map
+      (fun a ->
+         Option.map (fun idx -> (a, idx))
+           (List.find_index (List.mem (N (start g))) (rules_of g a)))
+      (List.init n Fun.id)
   in
   let cnf_violations =
-    List.concat
-      (List.concat
-         (List.init n (fun a ->
-              List.mapi
-                (fun idx rhs ->
-                   match rhs with
-                   | [ T _ ] | [ N _; N _ ] -> []
-                   | [] when a = start g && not start_on_rhs -> []
-                   | _ -> [ (a, idx, rhs) ])
-                (rules_of g a))))
+    List.concat_map
+      (fun a ->
+         List.concat
+           (List.mapi
+              (fun idx rhs ->
+                 match rhs with
+                 | [ T _ ] | [ N _; N _ ] -> []
+                 | [] when a = start g && start_site = None -> []
+                 | _ -> [ (a, idx, rhs) ])
+              (rules_of g a)))
+      (List.init n Fun.id)
   in
   (match cnf_violations with
    | [] -> ()
@@ -286,50 +280,26 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
              (if List.length cnf_violations = 1 then "" else "s")
              (if List.length cnf_violations = 1 then "s" else "")
              (name g a) (rhs_to_string g rhs))));
-  (* G011: start symbol on a right-hand side *)
-  if start_on_rhs then begin
-    let where =
-      List.find_map
-        (fun a ->
-           List.find_map
-             (fun (idx, rhs) ->
-                if List.exists (function N i -> i = start g | T _ -> false) rhs
-                then Some (a, idx)
-                else None)
-             (List.mapi (fun i r -> (i, r)) (rules_of g a)))
-        (List.init n (fun i -> i))
-    in
-    match where with
-    | Some (a, idx) ->
-      emit
-        (D.make ~code:"G011" ~severity:D.Info ~loc:(D.Rule (name g a, idx))
-           "the start symbol occurs on a right-hand side (blocks the CNF \
-            start-\xce\xb5 convention)")
-    | None -> ()
-  end;
+  Option.iter
+    (fun (a, idx) ->
+       emit
+         (D.make ~code:"G011" ~severity:D.Info ~loc:(D.Rule (name g a, idx))
+            "the start symbol occurs on a right-hand side (blocks the CNF \
+             start-\xce\xb5 convention)"))
+    start_site;
   (* G012: vertical-ambiguity heuristic *)
   for a = 0 to n - 1 do
     if useful a then begin
       let rhss = rules_of g a in
       if List.length rhss >= 2 then begin
-        let firsts =
-          List.map (fun rhs -> Static.rhs_first ~nullable:null ~first rhs) rhss
+        let overlap =
+          Facts.first_overlap
+            (List.map (Facts.rhs_first ~nullable:null ~first) rhss)
         in
         let nullable_rules =
-          List.length (List.filter (Static.rhs_nullable null) rhss)
+          List.length (List.filter (Facts.rhs_nullable null) rhss)
         in
-        let overlap = ref None in
-        List.iteri
-          (fun i fi ->
-             List.iteri
-               (fun j fj ->
-                  if j > i && !overlap = None then
-                    match Static.Cset.choose_opt (Static.Cset.inter fi fj) with
-                    | Some c -> overlap := Some (i, j, c)
-                    | None -> ())
-               firsts)
-          firsts;
-        match (!overlap, nullable_rules >= 2) with
+        match (overlap, nullable_rules >= 2) with
         | Some (i, j, c), _ ->
           emit
             (D.make ~code:"G012" ~severity:D.Warning
@@ -350,7 +320,7 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
     end
   done;
   (* G013 / G015: the sound verdicts *)
-  (match Static.verdict ?probe_words ?probe_len g with
+  (match Static.verdict g with
    | Static.Ambiguous { nonterminal; word } ->
      emit
        (D.make ~code:"G013" ~severity:D.Error ~loc:(D.Nonterminal nonterminal)
@@ -367,19 +337,21 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
            symbol per rule")
    | Static.Unknown -> ());
   (* G014: horizontal-ambiguity heuristic (length ranges need acyclicity) *)
-  if acyclic then begin
-    let ranges = Static.length_ranges g in
+  (match order with
+   | None -> ()
+   | Some order ->
+    let ranges = Static.length_ranges g order in
     let variable = function
       | T _ -> false
       | N i ->
         (match ranges.(i) with None -> true | Some (lo, hi) -> lo <> hi)
     in
     let sym_first = function
-      | T c -> Static.Cset.singleton c
+      | T c -> Facts.Cset.singleton c
       | N i -> first.(i)
     in
     let sym_last = function
-      | T c -> Static.Cset.singleton c
+      | T c -> Facts.Cset.singleton c
       | N i -> last.(i)
     in
     let sym_nullable = function T _ -> false | N i -> null.(i) in
@@ -393,7 +365,7 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
                    if
                      sym_nullable x || sym_nullable y
                      || not
-                          (Static.Cset.disjoint (sym_last x) (sym_first y))
+                          (Facts.Cset.disjoint (sym_last x) (sym_first y))
                    then true
                    else adjacent rest
                  | _ -> false
@@ -408,10 +380,8 @@ let run ?probe_words ?probe_len ?(semantic = false) g =
                        — a word may factorise in two ways")
              end)
           (rules_of g a)
-    done
-  end;
-  let diags = List.rev !diags in
-  D.sort (if semantic then diags @ Semantic_lint.lint g else diags)
+    done);
+  D.sort (List.rev !diags)
 
 type certificate =
   | Certified_unambiguous

@@ -29,15 +29,11 @@
 (** The registry: every check this linter implements, in code order. *)
 val checks : Diag.check list
 
-(** [run ?probe_words ?probe_len ?semantic g] runs every check and returns
-    the diagnostics sorted errors-first (see {!Diag.sort}).  [probe_words]
-    and [probe_len] cap the {!Ucfg_cfg.Static.probe} underlying [G013].
-    [~semantic:true] additionally runs the deep tier
-    ({!Semantic_lint.lint}: universality with the counting/packed backend
-    cross-check, codes G016–G020). *)
-val run :
-  ?probe_words:int -> ?probe_len:int -> ?semantic:bool ->
-  Ucfg_cfg.Grammar.t -> Diag.t list
+(** [run g] runs every check and returns the diagnostics sorted
+    errors-first (see {!Diag.sort}).  The deep semantic tier
+    ({!Semantic_lint.lint}, codes G016–G020) is a separate pass:
+    [Ucfg_serve.Verbs.lint_diags] composes the two. *)
+val run : Ucfg_cfg.Grammar.t -> Diag.t list
 
 (** The unambiguity-certificate verdict as a typed value, so callers stop
     re-scanning diagnostic code strings.  [Certified_ambiguous] carries

@@ -23,31 +23,9 @@ let sample_ids ids =
   String.concat ", " (List.map string_of_int shown)
   ^ if List.length ids > 4 then ", ..." else ""
 
-(* reachability over labelled + ε edges, forwards or backwards *)
-let closure n seeds edges =
-  let seen = Array.make n false in
-  let queue = Queue.create () in
-  let push s =
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      Queue.add s queue
-    end
-  in
-  List.iter push seeds;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter (fun (a, b) -> if a = s then push b) edges
-  done;
-  seen
-
 let run a =
   let n = Nfa.state_count a in
-  let fwd_edges =
-    List.map (fun (s, _, d) -> (s, d)) (Nfa.transitions a) @ Nfa.epsilons a
-  in
-  let bwd_edges = List.map (fun (s, d) -> (d, s)) fwd_edges in
-  let reach = closure n (Nfa.initials a) fwd_edges in
-  let co = closure n (Nfa.finals a) bwd_edges in
+  let reach, co = Nfa.reachability a in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   (* N001 / N002: useless states *)
@@ -117,63 +95,7 @@ let run a =
             (if Nfa.initials a = [] then "initial" else "final")));
   (* N006 / N007: self-product criterion on the useful part, original ids *)
   if eps_free && Nfa.initials a <> [] && Nfa.finals a <> [] then begin
-    let useful s = reach.(s) && co.(s) in
-    let fwd = Hashtbl.create 256 in
-    let queue = Queue.create () in
-    let push pq =
-      if not (Hashtbl.mem fwd pq) then begin
-        Hashtbl.add fwd pq ();
-        Queue.add pq queue
-      end
-    in
-    let uinit = List.filter useful (Nfa.initials a) in
-    List.iter (fun p -> List.iter (fun q -> push (p, q)) uinit) uinit;
-    let chars = Ucfg_word.Alphabet.chars (Nfa.alphabet a) in
-    let ustep s c = List.filter useful (Nfa.step a s c) in
-    while not (Queue.is_empty queue) do
-      let p, q = Queue.pop queue in
-      List.iter
-        (fun c ->
-           List.iter
-             (fun p' -> List.iter (fun q' -> push (p', q')) (ustep q c))
-             (ustep p c))
-        chars
-    done;
-    let co2 = Hashtbl.create 256 in
-    let bqueue = Queue.create () in
-    let bpush pq =
-      if not (Hashtbl.mem co2 pq) then begin
-        Hashtbl.add co2 pq ();
-        Queue.add pq bqueue
-      end
-    in
-    let ufinal = List.filter useful (Nfa.finals a) in
-    List.iter (fun f -> List.iter (fun f' -> bpush (f, f')) ufinal) ufinal;
-    let preds = Array.make n [] in
-    List.iter
-      (fun (s, c, d) ->
-         if useful s && useful d then preds.(d) <- (s, c) :: preds.(d))
-      (Nfa.transitions a);
-    while not (Queue.is_empty bqueue) do
-      let p, q = Queue.pop bqueue in
-      List.iter
-        (fun (p', c) ->
-           List.iter
-             (fun (q', c') -> if Char.equal c c' then bpush (p', q'))
-             preds.(q))
-        preds.(p)
-    done;
-    let witness =
-      Hashtbl.fold
-        (fun (p, q) () best ->
-           if p < q && Hashtbl.mem co2 (p, q) then
-             match best with
-             | Some (p0, q0) when (p0, q0) <= (p, q) -> best
-             | _ -> Some (p, q)
-           else best)
-        fwd None
-    in
-    match witness with
+    match Unambiguous.off_diagonal_pair a with
     | Some (p, q) ->
       emit
         (D.make ~code:"N006" ~severity:D.Error ~loc:(D.State p)

@@ -1,8 +1,8 @@
 (** Static diagnostics for NFAs.
 
     Seven checks with stable codes, mirroring the grammar linter.  [N006]
-    and [N007] together implement the self-product criterion of
-    {!Ucfg_automata.Unambiguous.is_unambiguous}: on the useful part of an
+    and [N007] together report the self-product criterion of
+    {!Ucfg_automata.Unambiguous.off_diagonal_pair}: on the useful part of an
     ε-free automaton, a reachable and co-reachable off-diagonal product
     pair exists iff some word has two accepting runs — so [N006] is a
     {e definite} ambiguity proof and [N007] a {e certificate} of

@@ -123,11 +123,10 @@ let missing_min ~guard alpha s =
    is enumerated.  [None] when the route cannot decide (cyclic after
    trimming, which the certificate rules out anyway). *)
 let counting_universal g =
-  let gt = Trim.trim g in
-  match Static.length_ranges gt with
-  | exception Invalid_argument _ -> None
-  | ranges ->
-    (match ranges.(Grammar.start gt) with
+  match Trim.acyclic_trim g with
+  | None -> None
+  | Some (gt, order) ->
+    (match (Static.length_ranges gt order).(Grammar.start gt) with
      | None -> Some `Empty
      | Some (lo, hi) ->
        let count = Analysis.count_trees_total gt in

@@ -117,7 +117,7 @@ val disjoint :
 val to_diags : ?fail_severity:Diag.severity -> report -> Diag.t list
 
 (** [lint ?guard ?cross_check g] is the deep tier behind
-    [Grammar_lint.run ~semantic:true]: runs {!universal} with the backend
+    [ucfg lint --semantic] (appended to {!Grammar_lint.run}): runs {!universal} with the backend
     cross-check on by default and renders non-universality as an [Info]
     fact (most grammars are not universal — the point is the witness),
     emptiness as G019 and backend disagreement as a G020 error. *)

@@ -46,11 +46,12 @@ let big_opt = function
   | Some b -> Json.Str (Bignum.to_string b)
   | None -> Json.Null
 
+let lint_diags ~guard ~semantic g =
+  let static = Ucfg_lint.Grammar_lint.run g in
+  if semantic then Diag.sort (static @ SL.lint ~guard g) else static
+
 let lint ~guard ~semantic g =
-  let diags =
-    let static = Ucfg_lint.Grammar_lint.run g in
-    if semantic then Diag.sort (static @ SL.lint ~guard g) else static
-  in
+  let diags = lint_diags ~guard ~semantic g in
   (* a partial verdict must never be cached: the daemon turns it back into
      an uncached 124 error response *)
   Option.iter (fun reason -> raise (Guard.Interrupt reason)) (tripped diags);

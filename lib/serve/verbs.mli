@@ -26,6 +26,13 @@ val exit_code : Ucfg_lint.Diag.t list -> int
     verdict is never a result — and [Invalid_argument] on unusable
     input. *)
 
+(** [lint_diags ~guard ~semantic g] is the static report of
+    {!Ucfg_lint.Grammar_lint.run}, merged in sort order with the deep tier
+    ({!Ucfg_lint.Semantic_lint.lint} under [guard]) when [semantic]. *)
+val lint_diags :
+  guard:Ucfg_exec.Guard.t -> semantic:bool -> Grammar.t ->
+  Ucfg_lint.Diag.t list
+
 (** [lint ~guard ~semantic g] — [{diagnostics, errors, warnings, infos}]. *)
 val lint : guard:Ucfg_exec.Guard.t -> semantic:bool -> Grammar.t -> Json.t
 

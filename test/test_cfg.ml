@@ -147,8 +147,9 @@ let test_language_overflow () =
   | Ok _ | Error _ -> Alcotest.fail "expected length overflow"
 
 let test_is_finite () =
-  Alcotest.(check bool) "tiny finite" true (Analysis.is_finite (tiny ()));
-  Alcotest.(check bool) "infinite" false (Analysis.is_finite (infinite ()));
+  let is_finite g = Facts.is_finite g ~useful:(Trim.useful g) in
+  Alcotest.(check bool) "tiny finite" true (is_finite (tiny ()));
+  Alcotest.(check bool) "infinite" false (is_finite (infinite ()));
   (* a cyclic but useless nonterminal does not make the language infinite *)
   let g =
     G.make ~alphabet:Alphabet.binary ~names:[| "S"; "U" |]
@@ -159,7 +160,7 @@ let test_is_finite () =
         ]
       ~start:0
   in
-  Alcotest.(check bool) "useless cycle" true (Analysis.is_finite g)
+  Alcotest.(check bool) "useless cycle" true (is_finite g)
 
 let test_count_trees_total () =
   Alcotest.check bn "tiny: 2 trees" (BN.of_int 2)
@@ -247,7 +248,7 @@ let test_nullable () =
         ]
       ~start:0
   in
-  let nul = Cnf.nullable g in
+  let nul = Facts.nullable g in
   Alcotest.(check bool) "A nullable" true nul.(1);
   Alcotest.(check bool) "S not nullable" false nul.(0)
 

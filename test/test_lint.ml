@@ -390,7 +390,7 @@ let test_certificate_verdict_typed () =
   | _ -> Alcotest.fail "an infinite language is inconclusive"
 
 let test_semantic_lint_tier () =
-  let ds = Grammar_lint.run ~semantic:true (tiny ()) in
+  let ds = D.sort (Grammar_lint.run (tiny ()) @ SL.lint (tiny ())) in
   let d = diag_with "G016" ds in
   Alcotest.(check bool) "non-universality is an Info fact" true
     (d.severity = D.Info);
@@ -410,7 +410,7 @@ let test_semantic_lint_tier () =
         ]
       ~start:0
   in
-  let ds_inf = Grammar_lint.run ~semantic:true inf in
+  let ds_inf = D.sort (Grammar_lint.run inf @ SL.lint inf) in
   Alcotest.(check bool) "no semantic codes on an infinite language" false
     (List.exists (fun c -> has_code c ds_inf)
        [ "G016"; "G017"; "G018"; "G019"; "G020" ])
@@ -722,6 +722,130 @@ let test_text_report () =
   Alcotest.(check bool) "has a summary line" true
     (contains_substring report "error")
 
+(* --- golden output --------------------------------------------------------- *)
+
+(* One md5 over the text of every structural fact and lint report on a
+   fixed corpus: seeded wild grammars (cycles, unit rules, ε-rules,
+   unproductive and unreachable nonterminals, any start), the paper's
+   constructions at the `make lint` sizes, the example grammar files, and
+   seeded ε-free NFAs.  Any byte that moves changes the digest. *)
+
+let wild_grammar rng =
+  let module Rng = Ucfg_util.Rng in
+  let n = 1 + Rng.int rng 5 in
+  let sym () =
+    if Rng.int rng 2 = 0 then G.T (if Rng.bool rng then 'a' else 'b')
+    else G.N (Rng.int rng n)
+  in
+  let rules =
+    List.concat
+      (List.init n (fun lhs ->
+           List.init (Rng.int rng 4) (fun _ ->
+               { G.lhs; rhs = List.init (Rng.int rng 4) (fun _ -> sym ()) })))
+  in
+  G.make ~alphabet:Alphabet.binary
+    ~names:(Array.init n (Printf.sprintf "X%d"))
+    ~rules ~start:(Rng.int rng n)
+
+let wild_nfa rng =
+  let module Rng = Ucfg_util.Rng in
+  let states = 1 + Rng.int rng 6 in
+  let pick () = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init states Fun.id) in
+  Ucfg_automata.Nfa.make ~alphabet:Alphabet.binary ~states ~initials:(pick ())
+    ~finals:(pick ())
+    ~transitions:
+      (List.init (Rng.int rng (3 * states)) (fun _ ->
+           ( Rng.int rng states,
+             (if Rng.bool rng then 'a' else 'b'),
+             Rng.int rng states )))
+    ()
+
+let guarded f = try f () with Invalid_argument m -> "invalid: " ^ m
+
+let grammar_facts buf g =
+  let add s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  add (G.to_string g);
+  add (D.list_to_json (Grammar_lint.run g));
+  add
+    (match Static.verdict g with
+     | Static.Unambiguous -> "unambiguous"
+     | Static.Ambiguous { nonterminal; word } -> nonterminal ^ " " ^ word
+     | Static.Unknown -> "unknown");
+  add (G.to_string (Trim.trim g));
+  let useful = Trim.useful g in
+  add (Printf.sprintf "%b %b" (Facts.is_finite g ~useful)
+         (Facts.has_finitely_many_trees g ~useful));
+  add (Option.value ~default:"none" (Analysis.witness_word g));
+  let order = Facts.topological_order g in
+  add (match order with Some o -> ints o | None -> "cyclic");
+  Option.iter
+    (fun order ->
+       add
+         (String.concat " "
+            (Array.to_list
+               (Array.map
+                  (function
+                    | None -> "-"
+                    | Some (lo, hi) -> Printf.sprintf "%d..%d" lo hi)
+                  (Static.length_ranges g order)))))
+    order;
+  add (guarded (fun () -> G.to_string (Cnf.of_grammar g)))
+
+let golden_corpus () =
+  let rng = Ucfg_util.Rng.create 2021 in
+  (* sequenced lets: the three families draw from one stream in order *)
+  let cyclic = List.init 300 (fun _ -> wild_grammar rng) in
+  (* acyclic ones, denser, so the certificate and the probe both fire *)
+  let acyclic =
+    List.init 100 (fun i ->
+        Random_grammar.general rng ~nonterminals:(2 + (i mod 4)) ~max_rules:3
+          ~max_rhs_len:3)
+  in
+  let fixed =
+    List.init 50 (fun i ->
+        Random_grammar.fixed_length rng ~word_len:(3 + (i mod 4)) ~variants:2)
+  in
+  let wild = cyclic @ acyclic @ fixed in
+  let kinds =
+    List.map
+      (fun (kind, n) -> (List.assoc kind Constructions.kinds) ?guard:None n)
+      [ ("example4", 4); ("trivial", 3); ("log", 6); ("example3", 2) ]
+  in
+  let dir = "../examples/grammars" in
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".cfg")
+    |> List.map (fun f ->
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+        |> Grammar_io.parse Alphabet.binary)
+  in
+  (wild, kinds, files)
+
+let test_golden_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let wild, kinds, files = golden_corpus () in
+  List.iter (grammar_facts buf) (wild @ kinds @ files);
+  Alcotest.(check int) "example grammar files" 5 (List.length files);
+  (* the deep tier composed after the static report, on a few tiny inputs *)
+  List.iter
+    (fun g ->
+       Buffer.add_string buf
+         (D.list_to_json
+            (Ucfg_serve.Verbs.lint_diags ~guard:(Exec.current_guard ())
+               ~semantic:true g)))
+    ([ tiny (); amb () ] @ files);
+  let rng = Ucfg_util.Rng.create 2109 in
+  for _ = 1 to 200 do
+    let a = wild_nfa rng in
+    Buffer.add_string buf (D.list_to_json (Nfa_lint.run a));
+    Buffer.add_string buf
+      (string_of_bool (Ucfg_automata.Unambiguous.is_unambiguous a))
+  done;
+  Alcotest.(check string) "md5 of every fact and report"
+    "8224100ad1c9aa7c457b4a5304ba5b20"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- properties ----------------------------------------------------------- *)
 
 let arb_seed = QCheck.int_range 0 100_000
@@ -970,5 +1094,8 @@ let () =
           Alcotest.test_case "JSON well-formed" `Quick test_json_wellformed;
           Alcotest.test_case "text report" `Quick test_text_report;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "facts and reports md5" `Quick test_golden_digest ]
+      );
       ("properties", qtests);
     ]
