@@ -8,8 +8,7 @@
 CLI := dune exec --no-build -- bin/ucfg_cli.exe
 BENCH := dune exec --no-build -- bench/main.exe
 
-# experiments with fully deterministic output (e32's slice counts depend
-# on scheduling, so it is run by `smoke` but not checksum-gated)
+# experiments with fully deterministic output
 DET_EXPERIMENTS := e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 \
   e17 e18 e19 e20 e21 e22 e23 e29 e30 e31
 

@@ -1042,60 +1042,6 @@ let e31_tier_sweeps () =
           ])
        (pick [ 4; 5 ] [ 2 ]))
 
-(* ----------------------------------------------------------------- E32 *)
-
-let e32_resumable_search () =
-  (* Checkpointable sharded search as a product.  E32a: a search
-     interrupted by a per-slice tick guard and resumed from its
-     checkpoint, slice after slice, lands on exactly the verdict and
-     replayed node count of one uninterrupted run.  Slice counts are
-     scheduling-dependent, so E32 stays out of the determinism set. *)
-  let describe r =
-    Printf.sprintf "%s, %d nodes"
-      (match r.Search.minimal_size with
-       | Some s -> string_of_int s
-       | None -> "none")
-      r.Search.nodes_explored
-  in
-  (* E32a: refutation instance small enough to slice finely *)
-  let l2 = Ln.language 2 in
-  let whole =
-    Search.minimal_cnf_size ~max_nonterminals:2 ~max_size:8 Alphabet.binary l2
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucfg-bench-e32-%d" (Unix.getpid ()))
-  in
-  let rec slices count resume =
-    let guard = Ucfg_exec.Guard.create ~budget:8_000 () in
-    let r =
-      Search.minimal_cnf_size ~guard ~max_nonterminals:2 ~max_size:8
-        ~checkpoint:dir ~resume Alphabet.binary l2
-    in
-    if r.Search.interrupted = None then (r, count) else slices (count + 1) true
-  in
-  let sliced, interrupts = slices 0 false in
-  Report.print_table
-    ~title:
-      "E32a (resumable search): minimal-CNF search for L_2 (k<=2, size<=8) \
-       interrupted every 8k guard ticks and resumed from its checkpoint — \
-       the final slice must equal the uninterrupted run byte for byte"
-    ~headers:[ "mode"; "result"; "slices"; "identical" ]
-    [
-      [ "one uninterrupted run"; describe whole; "1"; "-" ];
-      [
-        "checkpoint + resume";
-        describe sliced;
-        string_of_int (interrupts + 1);
-        yes
-          (describe whole = describe sliced
-          && Option.map Grammar.to_string whole.Search.witness
-             = Option.map Grammar.to_string sliced.Search.witness);
-      ];
-    ];
-  Printf.printf "\n"
-
 let e30_serve_cache () =
   (* the serving tier as a product: each request is answered three times —
      a cold computation on a fresh server, a warm re-ask on the same
@@ -1202,7 +1148,6 @@ let experiments =
     ("e21", e21_structured); ("e22", e22_disambiguate);
     ("e23", e23_overlap_asymmetry); ("e29", e29_semantic_check);
     ("e30", e30_serve_cache); ("e31", e31_tier_sweeps);
-    ("e32", e32_resumable_search);
   ]
 
 (* --timeout SEC wraps each experiment in its own wall-clock guard: a

@@ -11,7 +11,9 @@ val useful : Grammar.t -> bool array
 
 (** [trim g] restricts [g] to its useful nonterminals (the start symbol is
     always kept, so a grammar with empty language trims to a start symbol
-    with no rules).  Parse trees are preserved exactly. *)
+    with no rules).  Parse trees are preserved exactly.  When nothing is
+    useless, the grammar returned is [g] itself, so no grammar is rebuilt
+    and structures memoised on {!Grammar.id} stay valid. *)
 val trim : Grammar.t -> Grammar.t
 
 (** [is_trim g] holds when every nonterminal of [g] is useful. *)
@@ -19,7 +21,5 @@ val is_trim : Grammar.t -> bool
 
 (** [acyclic_trim g] is [Some (trim g, order)] when [g] has finitely many
     parse trees, with [order] the topological order of the trimmed grammar
-    ({!Facts.postorder}: dependencies first); [None] otherwise.  When [trim]
-    would drop nothing, the grammar returned is [g] itself, so no grammar
-    is rebuilt and structures memoised on {!Grammar.id} stay valid. *)
+    ({!Facts.postorder}: dependencies first); [None] otherwise. *)
 val acyclic_trim : Grammar.t -> (Grammar.t * int list) option

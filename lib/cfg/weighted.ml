@@ -35,7 +35,7 @@ let make_index g =
   }
 
 (* Bounded memo keyed on the grammar id; grammars are constructed freely
-   (every [Trim.trim] mints one), so the cache is reset rather than grown
+   (every [Trim.trim] that drops a rule mints one), so the cache is reset rather than grown
    without bound.  Pool workers share it, hence the mutex. *)
 let index_cache : (int, index) Hashtbl.t = Hashtbl.create 16
 let index_cache_mutex = Mutex.create ()

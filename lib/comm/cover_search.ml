@@ -20,8 +20,6 @@ type run = {
 
 exception Out_of_budget
 
-exception Corrupt_payload
-
 (* all subsets of a list, lazily: the eager version materialised all 2^n
    lists up front with quadratic append copying; this one streams them in
    the same order, so consumers tick-poll as they go and short-circuit
@@ -48,45 +46,20 @@ let minimum_run ?guard ?(budget = 2_000_000) ?(memo = true) ?checkpoint
     Printf.sprintf "params cover %d %d %s" n budget
       (Digest.to_hex (Digest.string (set_text target_set)))
   in
-  let memo_tbl = if memo then Some (Memo.create ()) else None in
-  let parse_payload payload =
-    match String.split_on_char '\n' payload with
-    | p :: rest when p = params ->
-      (try
-         let refuted0 = ref 0 in
-         let entries = ref [] in
-         List.iter
-           (fun line ->
-              match String.split_on_char ' ' line with
-              | [] | [ "" ] -> ()
-              | [ "refuted"; k ] -> refuted0 := int_of_string k
-              | [ "memo"; key; v ] -> entries := (key, v) :: !entries
-              | _ -> raise Corrupt_payload)
-           rest;
-         if !refuted0 < 0 then raise Corrupt_payload;
-         Ok (!refuted0, List.rev !entries)
-       with Corrupt_payload | Failure _ ->
-         Error "unparseable checkpoint payload")
-    | _ -> Error "parameter mismatch (different search or library version)"
+  (* the refuted cursor and the transposition entries survive a trip: a
+     resumed run skips the already-refuted sizes and replays none of the
+     recorded subtree verdicts.  Singletons cover any target, so a cursor
+     at or past its size is impossible. *)
+  let session =
+    Checkpoint.open_session ~dir:checkpoint ~resume ~params
+      (if memo then Some (Memo.create ()) else None)
+      (List.fold_left
+         (fun _ -> function
+            | [ "refuted"; k ] ->
+              Checkpoint.nat ~max:(IntSet.cardinal target_set - 1) k
+            | _ -> raise Checkpoint.Reject)
+         0)
   in
-  let warning = ref None in
-  let was_resumed = ref false in
-  let start_refuted = ref 0 in
-  (match checkpoint with
-   | Some dir when resume -> (
-       match Checkpoint.load ~dir with
-       | Checkpoint.Absent -> ()
-       | Checkpoint.Invalid reason -> warning := Some reason
-       | Checkpoint.Loaded payload -> (
-           match parse_payload payload with
-           | Ok (refuted0, entries) ->
-             start_refuted := refuted0;
-             (match memo_tbl with
-              | Some m -> Memo.add_entries m entries
-              | None -> ());
-             was_resumed := true
-           | Error reason -> warning := Some reason))
-   | _ -> ());
   let nodes = ref 0 in
   let tick () =
     Ucfg_exec.Guard.tick guard;
@@ -175,54 +148,24 @@ let minimum_run ?guard ?(budget = 2_000_000) ?(memo = true) ?checkpoint
           (fun members -> covers (IntSet.diff remaining members) (k - 1))
           (candidates remaining w)
       in
-      match memo_tbl with
-      | None -> decide ()
-      | Some m -> (
-          let key = trans_key remaining k in
-          match Memo.find m key with
-          | Some v -> v = "1"
-          | None ->
-            let v = decide () in
-            Memo.set m key (if v then "1" else "0");
-            v)
+      Memo.verdict session.memo (lazy (trans_key remaining k)) decide
     end
   in
-  let refuted = ref !start_refuted in
-  let memo_counts () =
-    match memo_tbl with
-    | Some m ->
-      let s = Memo.stats m in
-      (s.Memo.hits, s.Memo.misses)
-    | None -> (0, 0)
-  in
-  (* the refuted cursor and the transposition entries survive a trip:
-     a resumed run skips the already-refuted sizes and replays none of
-     the recorded subtree verdicts *)
-  let write_checkpoint () =
-    match checkpoint with
-    | None -> None
-    | Some dir ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf params;
-      Buffer.add_char buf '\n';
-      Printf.bprintf buf "refuted %d\n" !refuted;
-      (match memo_tbl with
-       | Some m ->
-         List.iter
-           (fun (k, v) -> Printf.bprintf buf "memo %s %s\n" k v)
-           (Memo.entries m)
-       | None -> ());
-      Some (Checkpoint.save ~dir (Buffer.contents buf))
-  in
+  let start_refuted = Option.value session.restored ~default:0 in
+  let refuted = ref start_refuted in
   let result outcome checkpoint_written =
-    let hits, misses = memo_counts () in
-    { outcome; nodes = !nodes; memo_hits = hits; memo_misses = misses;
-      resumed = !was_resumed; checkpoint_written;
-      checkpoint_warning = !warning }
+    let memo_hits, memo_misses = Checkpoint.memo_counts session in
+    { outcome; nodes = !nodes; memo_hits; memo_misses;
+      resumed = Option.is_some session.restored; checkpoint_written;
+      checkpoint_warning = session.warning }
   in
   let finish outcome =
-    (match checkpoint with Some dir -> Checkpoint.clear ~dir | None -> ());
+    Checkpoint.finish session;
     result outcome None
+  in
+  let trip outcome =
+    result outcome
+      (Checkpoint.trip session [ Printf.sprintf "refuted %d" !refuted ])
   in
   try
     if IntSet.is_empty target_set then finish (Exact 0)
@@ -234,12 +177,11 @@ let minimum_run ?guard ?(budget = 2_000_000) ?(memo = true) ?checkpoint
           loop (k + 1)
         end
       in
-      loop (!start_refuted + 1)
+      loop (start_refuted + 1)
     end
   with
-  | Out_of_budget -> result (Budget_exhausted (!refuted + 1)) (write_checkpoint ())
-  | Ucfg_exec.Guard.Interrupt r ->
-    result (Interrupted (!refuted + 1, r)) (write_checkpoint ())
+  | Out_of_budget -> trip (Budget_exhausted (!refuted + 1))
+  | Ucfg_exec.Guard.Interrupt r -> trip (Interrupted (!refuted + 1, r))
 
 let minimum ?guard ?budget ?memo ?checkpoint ?resume ~n target =
   (minimum_run ?guard ?budget ?memo ?checkpoint ?resume ~n target).outcome

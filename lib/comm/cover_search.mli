@@ -17,12 +17,10 @@
     means a memoised run can reach an [Exact] answer within a budget
     that a memo-free run exhausts.
 
-    With a [?checkpoint] directory, a run interrupted by the guard or
-    the node budget persists its refuted-size cursor and transposition
-    entries ({!Ucfg_exec.Checkpoint} format); [~resume:true] reloads
-    them and continues — already-refuted sizes are skipped and recorded
-    subtree verdicts are not re-derived.  Damaged or mismatched
-    checkpoints degrade to a fresh run with a warning. *)
+    With a [?checkpoint] directory the run is a
+    {!Ucfg_exec.Checkpoint.session}: a guard trip or an exhausted node
+    budget persists the refuted-size cursor and the transposition
+    entries, and [~resume:true] continues without re-deriving either. *)
 
 type outcome =
   | Exact of int  (** the minimum disjoint cover size *)

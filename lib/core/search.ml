@@ -73,9 +73,7 @@ let rec publish_rank terminal rank =
 
 let names k = Array.init k (fun i -> Printf.sprintf "N%d" i)
 
-(* --- checkpoint payload codec --------------------------------------------- *)
-
-exception Corrupt_payload
+(* --- checkpoint body codec ------------------------------------------------ *)
 
 (* CNF rules as one space-free token per rule: [T<lhs>.<charcode>] or
    [B<lhs>.<B>.<C>], ';'-joined.  Reconstruction through [G.make] with the
@@ -91,18 +89,18 @@ let encode_rules rules =
           | _ -> invalid_arg "Search: non-CNF rule in checkpoint")
        rules)
 
+(* [G.make] and [Char.chr] reject an index or a code out of range *)
+let nat = Checkpoint.nat ~max:max_int
+
 let decode_rules text =
   List.map
     (fun item ->
-       if item = "" then raise Corrupt_payload;
+       if item = "" then raise Checkpoint.Reject;
        let body = String.sub item 1 (String.length item - 1) in
        match (item.[0], String.split_on_char '.' body) with
-       | 'T', [ lhs; code ] ->
-         { G.lhs = int_of_string lhs; rhs = [ G.T (Char.chr (int_of_string code)) ] }
-       | 'B', [ lhs; b; c ] ->
-         { G.lhs = int_of_string lhs;
-           rhs = [ G.N (int_of_string b); G.N (int_of_string c) ] }
-       | _ -> raise Corrupt_payload)
+       | 'T', [ a; code ] -> { G.lhs = nat a; rhs = [ G.T (Char.chr (nat code)) ] }
+       | 'B', [ a; b; c ] -> { G.lhs = nat a; rhs = [ G.N (nat b); G.N (nat c) ] }
+       | _ -> raise Checkpoint.Reject)
     (String.split_on_char ';' text)
 
 (* the parameter line doubles as the checkpoint identity: a resumed run
@@ -114,16 +112,24 @@ let params_line ~unambiguous ~max_nonterminals ~max_size ~budget alpha digest =
        (List.map (fun c -> string_of_int (Char.code c)) (Alphabet.chars alpha)))
     digest
 
-let checkpoint_key ?(unambiguous = false) ?(max_nonterminals = 3)
-    ?(max_size = 12) ?(budget = 3_000_000) alpha l =
+(* the one set of defaults, so a checkpoint key names exactly the run that
+   the same optional arguments start *)
+let default_max_nonterminals = 3
+let default_max_size = 12
+let default_budget = 3_000_000
+
+let checkpoint_key ?(unambiguous = false)
+    ?(max_nonterminals = default_max_nonterminals)
+    ?(max_size = default_max_size) ?(budget = default_budget) alpha l =
   Digest.to_hex
     (Digest.string
        (params_line ~unambiguous ~max_nonterminals ~max_size ~budget alpha
           (Lang.digest l)))
 
-let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
-    ?(max_size = 12) ?(budget = 3_000_000) ?(memo = true) ?checkpoint
-    ?(resume = false) alpha l =
+let minimal_cnf_size ?guard ?(unambiguous = false)
+    ?(max_nonterminals = default_max_nonterminals)
+    ?(max_size = default_max_size) ?(budget = default_budget) ?(memo = true)
+    ?checkpoint ?(resume = false) alpha l =
   if Lang.mem "" l then invalid_arg "Search.minimal_cnf_size: ε not supported";
   let guard =
     match guard with
@@ -139,11 +145,41 @@ let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
     List.fold_left max 0 (Lang.lengths l)
   in
   let target_digest = Lang.digest l in
-  let params =
-    params_line ~unambiguous ~max_nonterminals ~max_size ~budget alpha
-      target_digest
+  (* a checkpoint body: the replayed budget, the interrupted level and
+     that level's completed branch outcomes by rank *)
+  let parse_body lines =
+    let consumed0 = ref 0 and level0 = ref 0 in
+    let outcomes : (int, branch_outcome) Hashtbl.t = Hashtbl.create 64 in
+    (* no tick count exceeds the budget, so the replay's sums cannot
+       overflow *)
+    let ticks = Checkpoint.nat ~max:budget in
+    List.iter
+      (function
+        | [ "consumed"; n ] -> consumed0 := ticks n
+        | [ "level"; s ] -> level0 := Checkpoint.nat ~max:max_size s
+        | [ "outcome"; rank; "E"; t ] ->
+          Hashtbl.replace outcomes (nat rank) (Exhausted (ticks t))
+        | [ "outcome"; rank; "C" ] -> Hashtbl.replace outcomes (nat rank) Capped
+        | [ "outcome"; rank; "F"; t; k; rules ] ->
+          let k = Checkpoint.nat ~max:max_nonterminals k in
+          let g =
+            G.make ~alphabet:alpha ~names:(names k) ~rules:(decode_rules rules)
+              ~start:0
+          in
+          Hashtbl.replace outcomes (nat rank) (Found (g, ticks t))
+        | _ -> raise Checkpoint.Reject)
+      lines;
+    if !level0 < 1 then raise Checkpoint.Reject;
+    (!consumed0, !level0, outcomes)
   in
-  let memo_tbl = if memo then Some (Memo.create ()) else None in
+  let session =
+    Checkpoint.open_session ~dir:checkpoint ~resume
+      ~params:
+        (params_line ~unambiguous ~max_nonterminals ~max_size ~budget alpha
+           target_digest)
+      (if memo then Some (Memo.create ()) else None)
+      parse_body
+  in
   (* the candidate rule universe for k nonterminals, with costs; built once
      per search — the universes depend only on k, never on the size level *)
   let rules_for k =
@@ -183,26 +219,18 @@ let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
             || (Facts.has_finitely_many_trees g ~useful:(Trim.useful g)
                 && Ambiguity.is_unambiguous ~guard g))
     in
-    match memo_tbl with
-    | None -> decide ()
-    | Some m ->
-      (* Canon-identical candidates share one verdict across branches,
-         nonterminal counts, domains and resumed runs; the single tick
-         above is paid either way, so the memo is invisible to the
-         deterministic node accounting *)
-      let key =
-        Digest.to_hex
-          (Digest.string
-             (String.concat "\x00"
-                [ Canon.canonical g; target_digest;
-                  (if unambiguous then "u" else "p") ]))
-      in
-      (match Memo.find m key with
-       | Some v -> v = "1"
-       | None ->
-         let v = decide () in
-         Memo.set m key (if v then "1" else "0");
-         v)
+    (* Canon-identical candidates share one verdict across branches,
+       nonterminal counts, domains and resumed runs; the single tick above
+       is paid either way, so the memo is invisible to the deterministic
+       node accounting *)
+    Memo.verdict session.memo
+      (lazy
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\x00"
+                 [ Canon.canonical g; target_digest;
+                   (if unambiguous then "u" else "p") ]))))
+      decide
   in
   (* all rule sets of cost exactly [s] over [universe] whose first rule is
      [first]; ticks are branch-local so the count is schedule-independent *)
@@ -251,64 +279,9 @@ let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
          so every Guarded branch carries the same kind. *)
       Guarded r
   in
-  (* --- checkpoint load ---------------------------------------------------- *)
-  let parse_payload payload =
-    match String.split_on_char '\n' payload with
-    | p :: rest when p = params ->
-      (try
-         let consumed0 = ref 0 and level0 = ref 0 in
-         let outcomes : (int, branch_outcome) Hashtbl.t = Hashtbl.create 64 in
-         let memo_entries = ref [] in
-         List.iter
-           (fun line ->
-              match String.split_on_char ' ' line with
-              | [] | [ "" ] -> ()
-              | [ "consumed"; n ] -> consumed0 := int_of_string n
-              | [ "level"; s ] -> level0 := int_of_string s
-              | [ "outcome"; rank; "E"; t ] ->
-                Hashtbl.replace outcomes (int_of_string rank)
-                  (Exhausted (int_of_string t))
-              | [ "outcome"; rank; "C" ] ->
-                Hashtbl.replace outcomes (int_of_string rank) Capped
-              | [ "outcome"; rank; "F"; t; k; rules ] ->
-                let k = int_of_string k in
-                let g =
-                  G.make ~alphabet:alpha ~names:(names k)
-                    ~rules:(decode_rules rules) ~start:0
-                in
-                Hashtbl.replace outcomes (int_of_string rank)
-                  (Found (g, int_of_string t))
-              | [ "memo"; key; v ] -> memo_entries := (key, v) :: !memo_entries
-              | _ -> raise Corrupt_payload)
-           rest;
-         if !level0 < 1 || !level0 > max_size || !consumed0 < 0 then
-           raise Corrupt_payload;
-         Ok (!consumed0, !level0, outcomes, List.rev !memo_entries)
-       with Corrupt_payload | Failure _ | Invalid_argument _ ->
-         Error "unparseable checkpoint payload")
-    | _ -> Error "parameter mismatch (different search or library version)"
+  let consumed =
+    ref (match session.restored with Some (c, _, _) -> c | None -> 0)
   in
-  let loaded_level = ref None in
-  let loaded_consumed = ref 0 in
-  let was_resumed = ref false in
-  let warning = ref None in
-  (match checkpoint with
-   | Some dir when resume -> (
-       match Checkpoint.load ~dir with
-       | Checkpoint.Absent -> ()
-       | Checkpoint.Invalid reason -> warning := Some reason
-       | Checkpoint.Loaded payload -> (
-           match parse_payload payload with
-           | Ok (consumed0, level0, outcomes, memo_entries) ->
-             loaded_consumed := consumed0;
-             loaded_level := Some (level0, outcomes);
-             (match memo_tbl with
-              | Some m -> Memo.add_entries m memo_entries
-              | None -> ());
-             was_resumed := true
-           | Error reason -> warning := Some reason))
-   | _ -> ());
-  let consumed = ref !loaded_consumed in
   let empty_stored : (int, branch_outcome) Hashtbl.t = Hashtbl.create 1 in
   let run_level ~stored s =
     let level_start = !consumed in
@@ -370,85 +343,61 @@ let minimal_cnf_size ?guard ?(unambiguous = false) ?(max_nonterminals = 3)
          commits nothing, the resumed replay re-accounts it in full *)
       `Guarded (r, outcomes)
   in
-  let write_checkpoint s outcomes =
-    match checkpoint with
-    | None -> None
-    | Some dir ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf params;
-      Buffer.add_char buf '\n';
-      Printf.bprintf buf "consumed %d\nlevel %d\n" !consumed s;
-      List.iteri
-        (fun rank o ->
-           match o with
-           | Exhausted t -> Printf.bprintf buf "outcome %d E %d\n" rank t
-           | Capped -> Printf.bprintf buf "outcome %d C\n" rank
-           | Found (g, t) ->
-             Printf.bprintf buf "outcome %d F %d %d %s\n" rank t
-               (G.nonterminal_count g)
-               (encode_rules (G.rules g))
-           | Cancelled | Guarded _ ->
-             (* scheduling-dependent non-outcomes are never persisted *)
-             ())
-        outcomes;
-      (match memo_tbl with
-       | Some m ->
-         List.iter
-           (fun (k, v) -> Printf.bprintf buf "memo %s %s\n" k v)
-           (Memo.entries m)
-       | None -> ());
-      Some (Checkpoint.save ~dir (Buffer.contents buf))
-  in
-  let memo_counts () =
-    match memo_tbl with
-    | Some m ->
-      let s = Memo.stats m in
-      (s.Memo.hits, s.Memo.misses)
-    | None -> (0, 0)
-  in
-  let finish ~minimal_size ~witness ~budget_exhausted ~nodes =
-    (match checkpoint with Some dir -> Checkpoint.clear ~dir | None -> ());
-    let hits, misses = memo_counts () in
-    { minimal_size; witness; nodes_explored = nodes; budget_exhausted;
-      interrupted = None; memo_hits = hits; memo_misses = misses;
-      resumed = !was_resumed; checkpoint_written = None;
-      checkpoint_warning = !warning }
-  in
-  let interrupted_result reason checkpoint_written =
-    let hits, misses = memo_counts () in
-    { minimal_size = None; witness = None;
-      nodes_explored = Atomic.get explored; budget_exhausted = false;
-      interrupted = Some reason; memo_hits = hits; memo_misses = misses;
-      resumed = !was_resumed; checkpoint_written;
-      checkpoint_warning = !warning }
-  in
-  let start_level =
-    match !loaded_level with Some (s0, _) -> s0 | None -> 1
+  (* scheduling-dependent non-outcomes (Cancelled, Guarded) are never
+     persisted *)
+  let trip s outcomes =
+    Checkpoint.trip session
+      (Printf.sprintf "consumed %d" !consumed
+       :: Printf.sprintf "level %d" s
+       :: List.filter_map Fun.id
+            (List.mapi
+               (fun rank -> function
+                  | Exhausted t ->
+                    Some (Printf.sprintf "outcome %d E %d" rank t)
+                  | Capped -> Some (Printf.sprintf "outcome %d C" rank)
+                  | Found (g, t) ->
+                    Some
+                      (Printf.sprintf "outcome %d F %d %d %s" rank t
+                         (G.nonterminal_count g) (encode_rules (G.rules g)))
+                  | Cancelled | Guarded _ -> None)
+               outcomes))
   in
   let rec over_sizes s =
-    if s > max_size then
-      finish ~minimal_size:None ~witness:None ~budget_exhausted:false
-        ~nodes:!consumed
+    if s > max_size then `Complete (None, None, false, !consumed)
     else begin
       let stored =
-        match !loaded_level with
-        | Some (s0, tbl) when s0 = s -> tbl
+        match session.restored with
+        | Some (_, s0, tbl) when s0 = s -> tbl
         | _ -> empty_stored
       in
       match run_level ~stored s with
-      | `Found g ->
-        finish ~minimal_size:(Some s) ~witness:(Some g)
-          ~budget_exhausted:false ~nodes:!consumed
+      | `Found g -> `Complete (Some s, Some g, false, !consumed)
       | `Out_of_budget ->
         (* the sequential counter raises the moment it passes the budget *)
-        finish ~minimal_size:None ~witness:None ~budget_exhausted:true
-          ~nodes:(budget + 1)
-      | `Guarded (r, outcomes) ->
-        interrupted_result r (write_checkpoint s outcomes)
+        `Complete (None, None, true, budget + 1)
+      | `Guarded (r, outcomes) -> `Interrupted (r, trip s outcomes)
       | `Done -> over_sizes (s + 1)
     end
   in
-  (* branches catch their own Interrupts; this backstop covers a trip in
-     the orchestration itself (no level in flight, nothing to checkpoint) *)
-  try over_sizes start_level
-  with Ucfg_exec.Guard.Interrupt r -> interrupted_result r None
+  let start_level =
+    match session.restored with Some (_, s0, _) -> s0 | None -> 1
+  in
+  let outcome =
+    (* branches catch their own Interrupts; this backstop covers a trip in
+       the orchestration itself (no level in flight, nothing to checkpoint) *)
+    try over_sizes start_level
+    with Ucfg_exec.Guard.Interrupt r -> `Interrupted (r, None)
+  in
+  let record (minimal_size, witness, budget_exhausted, nodes_explored)
+      interrupted checkpoint_written =
+    let memo_hits, memo_misses = Checkpoint.memo_counts session in
+    { minimal_size; witness; nodes_explored; budget_exhausted; interrupted;
+      memo_hits; memo_misses; resumed = Option.is_some session.restored;
+      checkpoint_written; checkpoint_warning = session.warning }
+  in
+  match outcome with
+  | `Complete fields ->
+    Checkpoint.finish session;
+    record fields None None
+  | `Interrupted (r, written) ->
+    record (None, None, false, Atomic.get explored) (Some r) written

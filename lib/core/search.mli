@@ -74,15 +74,12 @@ val checkpoint_key :
     never changes [nodes_explored], the verdict, the witness, or the
     budget semantics — only wall-clock.
 
-    [checkpoint] names a directory for a {!Ucfg_exec.Checkpoint}: when
-    the guard trips mid-level, the search atomically persists its
-    position (level, completed branch outcomes, replayed budget, memo
-    entries) and reports the path in [checkpoint_written].  With
-    [resume = true] (default false) a valid checkpoint for the same
-    parameters is loaded first and the search continues where it
-    stopped; completed runs delete their checkpoint.  Any damaged or
-    mismatched checkpoint degrades to a fresh run with
-    [checkpoint_warning] set. *)
+    [checkpoint] and [resume] (default false) run the search in a
+    {!Ucfg_exec.Checkpoint.session}: a guard trip mid-level persists the
+    level, its completed branch outcomes, the replayed budget and the memo
+    entries, reported in [checkpoint_written]; [resume] continues from
+    there.  A damaged or mismatched checkpoint degrades to a fresh run
+    with [checkpoint_warning] set. *)
 val minimal_cnf_size :
   ?guard:Ucfg_exec.Guard.t ->
   ?unambiguous:bool ->

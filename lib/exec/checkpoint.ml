@@ -1,5 +1,5 @@
-(* Self-verifying files and the search checkpoints built on them; see the
-   mli for the contract. *)
+(* Self-verifying files and the resumable-search sessions built on them;
+   see the mli for the contract. *)
 
 type load = Loaded of string | Absent | Invalid of string
 
@@ -73,12 +73,78 @@ let magic = "ucfg-search v1"
 
 let file ~dir = Filename.concat dir "checkpoint"
 
-let save ~dir payload =
-  let path = file ~dir in
-  write ~magic path payload;
-  path
+(* --- resumable-search sessions ------------------------------------------- *)
 
-let load ~dir = read ~magic (file ~dir)
+exception Reject
 
-let clear ~dir =
-  try Sys.remove (file ~dir) with Sys_error _ -> ()
+let nat ~max text =
+  match int_of_string_opt text with
+  | Some n when n >= 0 && n <= max -> n
+  | _ -> raise Reject
+
+type 'a session = {
+  dir : string option;
+  params : string;
+  memo : Memo.t option;
+  restored : 'a option;
+  warning : string option;
+}
+
+let open_session ~dir ~resume ~params memo parse =
+  let session restored warning = { dir; params; memo; restored; warning } in
+  let load dir =
+    match read ~magic (file ~dir) with
+    | Absent -> session None None
+    | Invalid reason -> session None (Some reason)
+    | Loaded payload -> (
+        match String.split_on_char '\n' payload with
+        | p :: body when p = params -> (
+            let lines =
+              List.filter (( <> ) [ "" ])
+                (List.map (String.split_on_char ' ') body)
+            in
+            let memo_lines, own =
+              List.partition (fun l -> List.hd l = "memo") lines
+            in
+            let entry = function [ _; k; v ] -> (k, v) | _ -> raise Reject in
+            match (List.map entry memo_lines, parse own) with
+            | entries, restored ->
+              Option.iter (fun m -> Memo.add_entries m entries) memo;
+              session (Some restored) None
+            | exception (Reject | Failure _ | Invalid_argument _) ->
+              session None (Some "unparseable checkpoint payload"))
+        | _ ->
+          session None
+            (Some "parameter mismatch (different search or library version)"))
+  in
+  match dir with Some dir when resume -> load dir | _ -> session None None
+
+let trip s body =
+  Option.map
+    (fun dir ->
+       let memo_lines =
+         match s.memo with
+         | Some m ->
+           List.map
+             (fun (key, v) -> Printf.sprintf "memo %s %s" key v)
+             (Memo.entries m)
+         | None -> []
+       in
+       let path = file ~dir in
+       write ~magic path
+         (String.concat ""
+            (List.map (fun l -> l ^ "\n") ((s.params :: body) @ memo_lines)));
+       path)
+    s.dir
+
+let finish s =
+  Option.iter
+    (fun dir -> try Sys.remove (file ~dir) with Sys_error _ -> ())
+    s.dir
+
+let memo_counts s =
+  match s.memo with
+  | Some m ->
+    let st = Memo.stats m in
+    (st.Memo.hits, st.Memo.misses)
+  | None -> (0, 0)

@@ -1,4 +1,4 @@
-(** Self-verifying files, and the search checkpoints built on them.
+(** Self-verifying files, and the resumable-search sessions built on them.
 
     A self-verifying file holds one opaque payload behind a header
     [<magic> <md5> <len>] (the magic is a name and a format version, e.g.
@@ -12,11 +12,9 @@
     disk cache ([ucfg-cache v1]) and the search checkpoints
     ([ucfg-search v1]) are both this format.
 
-    A checkpoint is the single file [dir/checkpoint].  Payload syntax and
-    versioning-on-meaning are the caller's problem: searches prepend a
-    parameter line to the payload and treat a mismatch as {e their}
-    invalidity.  Bumping the format version here invalidates every
-    existing checkpoint at once, by design. *)
+    A checkpoint is the single file [dir/checkpoint], written and read
+    only through a {!session}.  Bumping the format version here
+    invalidates every existing checkpoint at once, by design. *)
 
 type load =
   | Loaded of string  (** the verified payload *)
@@ -34,11 +32,44 @@ val read : magic:string -> string -> load
 (** [file ~dir] is the checkpoint path [dir/checkpoint]. *)
 val file : dir:string -> string
 
-(** [save ~dir payload] creates [dir] as needed and atomically writes the
-    checkpoint; returns the path written. *)
-val save : dir:string -> string -> string
+(** Raised by a search's body parser on a line it does not accept. *)
+exception Reject
 
-val load : dir:string -> load
+(** [nat ~max text] is the integer [text] when it lies in [0, max];
+    {!Reject} otherwise. *)
+val nat : max:int -> string -> int
 
-(** [clear ~dir] removes the checkpoint file if present (best-effort). *)
-val clear : dir:string -> unit
+(** A resumable search: its checkpoint identity, memo persistence and
+    load / trip / finish lifecycle.  The payload is the params line, the
+    search's own body lines, then one [memo <key> <v>] line per binding. *)
+type 'a session = private {
+  dir : string option;  (** the checkpoint directory, if any *)
+  params : string;  (** the search identity, the payload's first line *)
+  memo : Memo.t option;  (** the search's verdict memo, if on *)
+  restored : 'a option;  (** the parsed body of a resumed checkpoint *)
+  warning : string option;
+      (** why a requested resume degraded to a fresh run (R021) *)
+}
+
+(** [open_session ~dir ~resume ~params memo parse] starts a search.  With
+    [resume] and a [dir], a checkpoint whose first line is [params] is
+    loaded: its [memo] lines go into [memo], every other non-empty line,
+    split on spaces, goes to [parse], whose result becomes [restored].
+    A damaged file, another search's params line, or a body that [parse]
+    rejects ({!Reject}, [Failure] or [Invalid_argument]) leaves
+    [restored = None] and sets [warning]; nothing is loaded into [memo]. *)
+val open_session :
+  dir:string option -> resume:bool -> params:string -> Memo.t option ->
+  (string list list -> 'a) -> 'a session
+
+(** [trip s body] atomically writes the params line, the [body] lines and
+    the memo entries to the checkpoint; the path written, [None] without
+    a directory. *)
+val trip : 'a session -> string list -> string option
+
+(** [finish s] removes the checkpoint of a completed search (best-effort). *)
+val finish : 'a session -> unit
+
+(** [memo_counts s] is this run's memo [(hits, misses)], [(0, 0)] without
+    a memo. *)
+val memo_counts : 'a session -> int * int

@@ -71,10 +71,6 @@ let stats t =
     { hits = 0; misses = 0; inserts = 0 }
     t.shards
 
-let hit_ratio s =
-  let total = s.hits + s.misses in
-  if total = 0 then 0. else float_of_int s.hits /. float_of_int total
-
 let entries t =
   let all =
     Array.fold_left
@@ -91,3 +87,15 @@ let add_entries t kvs =
        locked s (fun () ->
            if not (Hashtbl.mem s.tbl key) then Hashtbl.add s.tbl key value))
     kvs
+
+let verdict memo key decide =
+  match memo with
+  | None -> decide ()
+  | Some t -> (
+      let key = Lazy.force key in
+      match find t key with
+      | Some v -> v = "1"
+      | None ->
+        let v = decide () in
+        set t key (if v then "1" else "0");
+        v)

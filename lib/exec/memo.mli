@@ -35,9 +35,6 @@ type stats = { hits : int; misses : int; inserts : int }
 
 val stats : t -> stats
 
-(** [hit_ratio s] is [hits / (hits + misses)] ([0.] before any lookup). *)
-val hit_ratio : stats -> float
-
 (** All bindings sorted by key — a deterministic dump for checkpoints
     (deterministic given the binding set; under parallelism the set
     itself depends on where the run was interrupted). *)
@@ -47,3 +44,8 @@ val entries : t -> (string * string) list
     wins, without touching the counters — restored entries are history,
     not this run's work. *)
 val add_entries : t -> (string * string) list -> unit
+
+(** [verdict memo key decide] is the memoised boolean [decide ()]: looked
+    up under [key], decided and bound on a miss.  [key] is forced only
+    when [memo] is on, so its hashing costs nothing without a memo. *)
+val verdict : t option -> string Lazy.t -> (unit -> bool) -> bool

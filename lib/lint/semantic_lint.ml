@@ -134,12 +134,13 @@ let counting_universal g =
        then Some (`Universal count)
        else Some (`Non_universal count))
 
-(* Packed route: materialise, then decide at the least populated length —
-   a missing word there refutes, and any second length refutes (no Σ^ℓ
-   mixes lengths). *)
+(* Packed route: materialise the trimmed grammar — useless nonterminals
+   never reach the language, so their word sets are not built — then decide
+   at the least populated length: a missing word there refutes, and any
+   second length refutes (no Σ^ℓ mixes lengths). *)
 let packed_universal ~guard g =
   let alpha = Grammar.alphabet g in
-  let lang = Analysis.language_exn ~guard g in
+  let lang = Analysis.language_exn ~guard (Trim.trim g) in
   if Lang.is_empty lang then `Empty
   else
     let card = Lang.cardinal_big lang in
@@ -285,7 +286,7 @@ let relational ~prop ?guard ?(cross_check = false) g1 g2 =
   in
   let diff = prop = Includes in
   try
-    let lang1 = Analysis.language_exn ~guard g1 in
+    let lang1 = Analysis.language_exn ~guard (Trim.trim g1) in
     let card1 = Lang.cardinal_big lang1 in
     if Lang.is_empty lang1 then
       (* ∅ ⊆ L2 and ∅ ∩ L2 = ∅, whatever L2 is *)
@@ -299,7 +300,7 @@ let relational ~prop ?guard ?(cross_check = false) g1 g2 =
       in
       let p_result =
         if (not use_counting) || cross_check then begin
-          let lang2 = Analysis.language_exn ~guard g2 in
+          let lang2 = Analysis.language_exn ~guard (Trim.trim g2) in
           Some (packed_scan ~guard ~diff lang1 lang2, lang2)
         end
         else None

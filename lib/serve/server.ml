@@ -2,16 +2,8 @@
    and the caching/guard contract. *)
 
 open Ucfg_cfg
-module Lang = Ucfg_lang.Lang
 module Diag = Ucfg_lint.Diag
 module Guard = Ucfg_exec.Guard
-
-(* per-grammar derived artifacts shared across operations: the parsed
-   grammar and (lazily) its materialised language, keyed by the semantic
-   content digest — a lint then a rank on the same grammar parse and
-   materialise once.  [lang] is read and written only under [art_mutex]:
-   stdin batches fan [handle_line] over domains *)
-type artifact = { grammar : Grammar.t; mutable lang : Lang.t option }
 
 type drain_outcome = Drained | Forced of int
 
@@ -25,8 +17,6 @@ type t = {
   idle_timeout_ms : float;
   max_request_bytes : int;
   drain_timeout_ms : float;
-  artifacts : (string, artifact) Hashtbl.t;
-  art_mutex : Mutex.t;
   stop : bool Atomic.t;
   draining : bool Atomic.t;
   requests : int Atomic.t;
@@ -64,8 +54,6 @@ let create ?(cache_dir = Some "_repro/cache") ?mem_capacity ?cache_max_bytes
     idle_timeout_ms;
     max_request_bytes;
     drain_timeout_ms;
-    artifacts = Hashtbl.create 32;
-    art_mutex = Mutex.create ();
     stop = Atomic.make false;
     draining = Atomic.make false;
     requests = Atomic.make 0;
@@ -174,44 +162,6 @@ let grammar_of ~guard obj suffix =
   | None, None, None ->
     badf "missing grammar operand: \"grammar%s\" or \"kind%s\"+\"n%s\"" suffix
       suffix suffix
-
-(* --- artifacts ------------------------------------------------------------ *)
-
-let artifact t g =
-  let key = Canon.digest g in
-  Mutex.lock t.art_mutex;
-  let art =
-    match Hashtbl.find_opt t.artifacts key with
-    | Some a -> a
-    | None ->
-      (* crude growth bound: the response cache is the real store, this
-         table only deduplicates within a busy window *)
-      if Hashtbl.length t.artifacts >= 256 then Hashtbl.reset t.artifacts;
-      let a = { grammar = g; lang = None } in
-      Hashtbl.add t.artifacts key a;
-      a
-  in
-  Mutex.unlock t.art_mutex;
-  art
-
-let language t ~guard art =
-  let cached =
-    Mutex.lock t.art_mutex;
-    let l = art.lang in
-    Mutex.unlock t.art_mutex;
-    l
-  in
-  match cached with
-  | Some l -> l
-  | None ->
-    (* materialise outside the lock — racing domains may compute the same
-       language redundantly, but never while holding the mutex; the first
-       publication wins *)
-    let l = Analysis.language_exn ~guard art.grammar in
-    Mutex.lock t.art_mutex;
-    let l = match art.lang with Some l -> l | None -> art.lang <- Some l; l in
-    Mutex.unlock t.art_mutex;
-    l
 
 (* the canonical cache key of a request: op, canonical parameter string,
    canonical operand grammars.  Names only matter where the rendered
@@ -354,8 +304,7 @@ let handle_line t line =
                      ("corrupt", Json.Int s.Cache.corrupt);
                      ("stores", Json.Int s.Cache.stores);
                      ("evictions", Json.Int s.Cache.evictions);
-                     ("disk_evictions", Json.Int s.Cache.disk_evictions) ]);
-                ("artifacts", Json.Int (Hashtbl.length t.artifacts)) ]))
+                     ("disk_evictions", Json.Int s.Cache.disk_evictions) ]) ]))
     | "shutdown" ->
       Atomic.set t.stop true;
       (* same path as SIGTERM: wake the accept loop so it stops taking
@@ -408,7 +357,7 @@ let handle_line t line =
       in
       let key = key_of ~op ~params ~keep_names:false [ g ] in
       respond_computed ~op ~key:(Some key) (fun () ->
-          Verbs.rank ~split g (language t ~guard (artifact t g)))
+          Verbs.rank ~split g (Analysis.language_exn ~guard g))
     | op ->
       Atomic.incr t.errors;
       error_response ~id:!id ~op (Diag.unsupported (Printf.sprintf "op %S" op)) 2

@@ -333,6 +333,36 @@ let test_semantic_relational_unit () =
   Alcotest.(check bool) "G019 rendered" true
     (has_code "G019" (SL.to_diags r8))
 
+(* L = ∅ beside a useless, infinite <X>: the semantic checks materialise
+   the trimmed grammar, so <X>'s word sets are never built.  Untrimmed,
+   the materialisation ran until a 20 s timeout killed it; the 5 s guard
+   turns such a regression into a failure instead of a hang. *)
+let useless_infinite () =
+  G.make ~alphabet:Alphabet.binary ~names:[| "S"; "X" |]
+    ~rules:
+      [
+        { G.lhs = 0; rhs = [ G.N 0; G.T 'a' ] };
+        { G.lhs = 1; rhs = [ G.N 1; G.N 1; G.T 'a' ] };
+        { G.lhs = 1; rhs = [ G.T 'b'; G.T 'a' ] };
+      ]
+    ~start:0
+
+let test_semantic_useless_unbuilt () =
+  let guard () = Guard.create ~timeout:5. () in
+  let r = SL.universal ~guard:(guard ()) (useless_infinite ()) in
+  check_status "the empty language is not universal"
+    (SL.Fails { SL.word = ""; in_first = false; in_second = true })
+    r;
+  let ds = SL.to_diags r in
+  Alcotest.(check bool) "G016 + G019" true
+    (has_code "G016" ds && has_code "G019" ds);
+  check_status "∅ ⊆ L vacuously" SL.Holds
+    (SL.includes ~guard:(guard ()) (useless_infinite ()) (tiny ()));
+  check_status "packed route on the right operand"
+    (SL.Fails { SL.word = "ab"; in_first = true; in_second = false })
+    (SL.includes ~guard:(guard ()) ~cross_check:true (tiny ())
+       (useless_infinite ()))
+
 let test_semantic_guard_trip () =
   (* the packed sweep on log n=6 needs more than 3 guard ticks: the budget
      trips, the verdict degrades to a partial one, and the kind must not
@@ -1059,6 +1089,8 @@ let () =
       ( "semantic tier",
         [
           Alcotest.test_case "universality" `Quick test_semantic_universal_unit;
+          Alcotest.test_case "useless nonterminals stay unbuilt" `Quick
+            test_semantic_useless_unbuilt;
           Alcotest.test_case "inclusion, equivalence, disjointness" `Quick
             test_semantic_relational_unit;
           Alcotest.test_case "guard trip degrades to partial" `Quick

@@ -17,13 +17,30 @@ let with_global_jobs jobs f =
   Exec.set_jobs jobs;
   Fun.protect ~finally:(fun () -> Exec.set_jobs saved) f
 
-let dir_counter = ref 0
+let made_dirs = ref []
 
 let fresh_dir () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "ucfg_resume_%d_%d" (Unix.getpid ()) !dir_counter)
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ucfg_resume_%d_%d" (Unix.getpid ())
+         (List.length !made_dirs))
+  in
+  made_dirs := dir :: !made_dirs;
+  dir
+
+(* checkpoint directories hold only flat files: remove them all on exit *)
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun dir ->
+           try
+             Array.iter
+               (fun f -> Sys.remove (Filename.concat dir f))
+               (Sys.readdir dir);
+             Sys.rmdir dir
+           with Sys_error _ -> ())
+        !made_dirs)
 
 let search_fields r =
   ( (r.Search.minimal_size, Option.map Grammar.to_string r.Search.witness),
@@ -174,15 +191,74 @@ let test_memo_concurrent () =
 
 (* --- damaged checkpoints degrade, never mislead ------------------------ *)
 
-let trip_and_checkpoint dir =
-  let guard = Guard.create ~budget:4_000 () in
-  let r =
-    Search.minimal_cnf_size ~guard ~max_nonterminals:2 ~max_size:8
-      ~checkpoint:dir Alphabet.binary (Ln.language 2)
-  in
-  match r.Search.checkpoint_written with
+(* Both searches resume through one checkpoint session, so every damage
+   case runs against each of them.  A subject trips a real run into a
+   directory; [run ~other dir] resumes from [dir] ([None]: no checkpoint)
+   with the subject's parameters, or with different ones when [other], and
+   reports (resumed, warning, answer), where [answer] prints every field a
+   fresh run must reproduce. *)
+type subject = {
+  label : string;
+  trip : string -> string;  (* the checkpoint path written into the dir *)
+  run :
+    guard:Guard.t -> other:bool -> string option -> bool * string option * string;
+}
+
+let written what = function
   | Some path -> path
-  | None -> Alcotest.fail "setup: expected a guard trip with a checkpoint"
+  | None -> Alcotest.failf "setup: expected a %s with a checkpoint" what
+
+let cnf =
+  let run ~guard ~max_size checkpoint =
+    Search.minimal_cnf_size ~guard ~max_nonterminals:2 ~max_size ?checkpoint
+      ~resume:true Alphabet.binary (Ln.language 2)
+  in
+  {
+    label = "cnf";
+    trip =
+      (fun dir ->
+         written "guard trip"
+           (run ~guard:(Guard.create ~budget:4_000 ()) ~max_size:8 (Some dir))
+             .Search.checkpoint_written);
+    run =
+      (fun ~guard ~other checkpoint ->
+         let r = run ~guard ~max_size:(if other then 7 else 8) checkpoint in
+         let (size, witness), (nodes, exhausted) = search_fields r in
+         ( r.Search.resumed,
+           r.Search.checkpoint_warning,
+           Printf.sprintf "%s %s %d %b"
+             (Option.fold ~none:"-" ~some:string_of_int size)
+             (Option.value witness ~default:"-")
+             nodes exhausted ));
+  }
+
+let cover =
+  let run ~guard ~budget checkpoint =
+    Cover_search.minimum_run ~guard ~budget ?checkpoint ~resume:true ~n:2
+      (List.of_seq (Ln.codes 2))
+  in
+  {
+    label = "cover";
+    trip =
+      (fun dir ->
+         written "budget exhaustion"
+           (run ~guard:Guard.unlimited ~budget:400 (Some dir))
+             .Cover_search.checkpoint_written);
+    run =
+      (fun ~guard ~other checkpoint ->
+         let r = run ~guard ~budget:(if other then 500 else 400) checkpoint in
+         let answer =
+           match r.Cover_search.outcome with
+           | Cover_search.Exact k -> Printf.sprintf "exact %d" k
+           | Cover_search.Budget_exhausted k -> Printf.sprintf "budget %d" k
+           | Cover_search.Interrupted (k, _) -> Printf.sprintf "interrupted %d" k
+         in
+         ( r.Cover_search.resumed,
+           r.Cover_search.checkpoint_warning,
+           Printf.sprintf "%s %d" answer r.Cover_search.nodes ));
+  }
+
+let subjects = [ cnf; cover ]
 
 let rewrite path f =
   let ic = open_in_bin path in
@@ -193,70 +269,250 @@ let rewrite path f =
   output_string oc (f bytes);
   close_out oc
 
-let degraded_runs_fresh ~expect_warning dir =
-  let r =
-    Search.minimal_cnf_size ~max_nonterminals:2 ~max_size:8 ~checkpoint:dir
-      ~resume:true Alphabet.binary (Ln.language 2)
+let degraded_runs_fresh ~expect_warning s dir =
+  let resumed, warning, answer =
+    s.run ~guard:Guard.unlimited ~other:false (Some dir)
   in
-  Alcotest.(check bool) "did not resume" false r.Search.resumed;
-  Alcotest.(check bool) "warning surfaced" expect_warning
-    (r.Search.checkpoint_warning <> None);
-  let whole =
-    Search.minimal_cnf_size ~max_nonterminals:2 ~max_size:8 Alphabet.binary
-      (Ln.language 2)
-  in
-  Alcotest.check fields_testable "fresh run, full answer"
-    (search_fields whole) (search_fields r)
+  let label what = s.label ^ ": " ^ what in
+  Alcotest.(check bool) (label "did not resume") false resumed;
+  Alcotest.(check bool) (label "warning surfaced") expect_warning
+    (warning <> None);
+  let _, _, whole = s.run ~guard:Guard.unlimited ~other:false None in
+  Alcotest.(check string) (label "fresh run, full answer") whole answer
 
-let test_corrupt_payload () =
-  let dir = fresh_dir () in
-  let path = trip_and_checkpoint dir in
-  rewrite path (fun s ->
-      (* flip one payload byte: the digest check must catch it *)
+let damaged damage () =
+  List.iter
+    (fun s ->
+       let dir = fresh_dir () in
+       rewrite (s.trip dir) damage;
+       degraded_runs_fresh ~expect_warning:true s dir)
+    subjects
+
+(* flip one payload byte: the digest check must catch it *)
+let test_corrupt_payload =
+  damaged (fun s ->
       let b = Bytes.of_string s in
       let i = String.length s - 2 in
       Bytes.set b i (if Bytes.get b i = 'x' then 'y' else 'x');
-      Bytes.to_string b);
-  degraded_runs_fresh ~expect_warning:true dir
+      Bytes.to_string b)
 
-let test_truncated_payload () =
-  let dir = fresh_dir () in
-  let path = trip_and_checkpoint dir in
-  rewrite path (fun s -> String.sub s 0 (String.length s / 2));
-  degraded_runs_fresh ~expect_warning:true dir
+let test_truncated_payload =
+  damaged (fun s -> String.sub s 0 (String.length s / 2))
 
-let test_version_bump () =
-  let dir = fresh_dir () in
-  let path = trip_and_checkpoint dir in
-  rewrite path (fun s ->
+let test_version_bump =
+  damaged (fun s ->
       let i = 1 + String.index s 'v' in
       let b = Bytes.of_string s in
       Bytes.set b i '9';
-      Bytes.to_string b);
-  degraded_runs_fresh ~expect_warning:true dir
+      Bytes.to_string b)
 
 let test_params_mismatch () =
-  let dir = fresh_dir () in
-  let _path = trip_and_checkpoint dir in
-  (* same directory, different size cap: the checkpoint is for another
-     search and must not be resumed *)
-  let r =
-    Search.minimal_cnf_size ~max_nonterminals:2 ~max_size:7 ~checkpoint:dir
-      ~resume:true Alphabet.binary (Ln.language 2)
-  in
-  Alcotest.(check bool) "did not resume" false r.Search.resumed;
-  Alcotest.(check bool) "warning surfaced" true
-    (r.Search.checkpoint_warning <> None)
+  List.iter
+    (fun s ->
+       let dir = fresh_dir () in
+       ignore (s.trip dir);
+       (* same directory, different size cap or budget: the checkpoint is
+          for another search and must not be resumed *)
+       let resumed, warning, _ =
+         s.run ~guard:Guard.unlimited ~other:true (Some dir)
+       in
+       Alcotest.(check bool) (s.label ^ ": did not resume") false resumed;
+       Alcotest.(check bool) (s.label ^ ": warning surfaced") true
+         (warning <> None))
+    subjects
 
 let test_absent_checkpoint () =
-  let dir = fresh_dir () in
-  let r =
-    Search.minimal_cnf_size ~max_nonterminals:2 ~max_size:8 ~checkpoint:dir
-      ~resume:true Alphabet.binary (Ln.language 2)
+  List.iter
+    (fun s ->
+       let resumed, warning, _ =
+         s.run ~guard:Guard.unlimited ~other:false (Some (fresh_dir ()))
+       in
+       (* nothing to resume is not a fault: fresh run, no warning *)
+       Alcotest.(check bool) (s.label ^ ": did not resume") false resumed;
+       Alcotest.(check (option string)) (s.label ^ ": no warning") None warning)
+    subjects
+
+(* --- payload fuzzing ------------------------------------------------------ *)
+
+(* The header digest stops every byte-level corruption above before the
+   payload parser sees it.  Here each mutation is re-wrapped with a valid
+   header, so the parser is the only line of defence: every resume must
+   come back as a record, resumed or fresh with a warning, never raise. *)
+
+let magic = "ucfg-search v1"
+
+let payload_lines path =
+  match Checkpoint.read ~magic path with
+  | Checkpoint.Loaded payload -> String.split_on_char '\n' payload
+  | _ -> Alcotest.fail "setup: unreadable checkpoint"
+
+let rewrap path lines = Checkpoint.write ~magic path (String.concat "\n" lines)
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* (start, length) of every maximal digit run of [line] *)
+let digit_runs line =
+  let n = String.length line in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if is_digit line.[i] then begin
+      let j = ref i in
+      while !j < n && is_digit line.[!j] do incr j done;
+      go !j ((i, !j - i) :: acc)
+    end
+    else go (i + 1) acc
   in
-  (* nothing to resume is not a fault: fresh run, no warning *)
-  Alcotest.(check bool) "did not resume" false r.Search.resumed;
-  Alcotest.(check (option string)) "no warning" None r.Search.checkpoint_warning
+  go 0 []
+
+let mutate st ~other_params lines =
+  let a = Array.of_list lines in
+  let pick () = Random.State.int st (Array.length a) in
+  let nth_random l = List.nth l (Random.State.int st (List.length l)) in
+  match Random.State.int st 7 with
+  | 0 -> (* drop a line *)
+    let i = pick () in
+    List.filteri (fun j _ -> j <> i) lines
+  | 1 -> (* duplicate a line *)
+    let i = pick () in
+    List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) lines)
+  | 2 -> (* swap two lines *)
+    let i = pick () and j = pick () in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t;
+    Array.to_list a
+  | 3 ->
+    (* perturb one integer outside the memo lines (ranks, ticks, levels,
+       rule codes, parameters), towards negative or huge values *)
+    let candidates =
+      List.concat
+        (List.mapi
+           (fun i l ->
+              if String.starts_with ~prefix:"memo " l then []
+              else List.map (fun run -> (i, run)) (digit_runs l))
+           lines)
+    in
+    let i, (start, len) = nth_random candidates in
+    let n = Option.value ~default:0 (int_of_string_opt (String.sub a.(i) start len)) in
+    let n' = nth_random [ -1; -n - 1; n + 1; n * 1000 + 7; max_int; min_int; 0 ] in
+    a.(i) <-
+      String.sub a.(i) 0 start ^ string_of_int n'
+      ^ String.sub a.(i) (start + len) (String.length a.(i) - start - len);
+    Array.to_list a
+  | 4 -> (* truncate one token *)
+    let i = pick () in
+    let tokens = String.split_on_char ' ' a.(i) in
+    let k = Random.State.int st (List.length tokens) in
+    a.(i) <-
+      String.concat " "
+        (List.mapi
+           (fun j t ->
+              if j = k then String.sub t 0 (Random.State.int st (String.length t + 1))
+              else t)
+           tokens);
+    Array.to_list a
+  | 5 -> (* inject a bogus memo line *)
+    let bogus =
+      nth_random
+        [ "memo " ^ Digest.to_hex (Digest.string (string_of_int (pick ()))) ^ " 1";
+          "memo 0123 2"; "memo onlykey"; "memo a b c"; "memo  1" ]
+    in
+    let i = pick () in
+    List.concat (List.mapi (fun j l -> if j = i then [ bogus; l ] else [ l ]) lines)
+  | _ -> (* another search's params line *)
+    a.(0) <- other_params;
+    Array.to_list a
+
+let test_fuzz_payload () =
+  (* a jobs-1 trip never persists a Found outcome, so the CNF seed gets one
+     at a rank past every branch: inert until a mutation reaches it *)
+  let extra s =
+    if s == cnf then [ "outcome 99999 F 3 2 T0.97;B0.1.1;T1.98" ] else []
+  in
+  let tripped =
+    List.map
+      (fun s -> (s, payload_lines (s.trip (fresh_dir ())) @ extra s))
+      subjects
+  in
+  List.iter
+    (fun seed ->
+       let st = Random.State.make [| seed |] in
+       List.iter
+         (fun (s, lines) ->
+            let other_params =
+              List.hd (List.assq (List.find (fun o -> o != s) subjects) tripped)
+            in
+            let dir = fresh_dir () in
+            for trial = 1 to 20 do
+              let mutated = mutate st ~other_params lines in
+              rewrap (Checkpoint.file ~dir) mutated;
+              match
+                s.run ~guard:(Guard.create ~budget:2_000_000 ()) ~other:false
+                  (Some dir)
+              with
+              | resumed, warning, _ ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s seed %d trial %d: resumed xor warned"
+                     s.label seed trial)
+                  true
+                  (resumed <> (warning <> None))
+              | exception e ->
+                Alcotest.failf "%s seed %d trial %d raised %s on:\n%s" s.label
+                  seed trial (Printexc.to_string e) (String.concat "\n" mutated)
+            done)
+         tripped)
+    [ 7; 23; 1009 ]
+
+(* header-valid bodies no run can write: [outcome -1 C] made a resumed
+   search trip an assertion in the level replay, a tick count near
+   max_int overflowed the replay into a negative node count, and a cover
+   cursor past the target's size reported a cover larger than the target *)
+let test_impossible_payloads () =
+  List.iter
+    (fun (s, body) ->
+       let dir = fresh_dir () in
+       let path = s.trip dir in
+       rewrap path (List.hd (payload_lines path) :: body @ [ "" ]);
+       degraded_runs_fresh ~expect_warning:true s dir)
+    [ (cnf, [ "consumed 0"; "level 1"; "outcome -1 C" ]);
+      (cnf, [ "consumed 0"; "level 8"; "outcome 0 E 1";
+              Printf.sprintf "outcome 1 E %d" max_int ]);
+      (cover, [ "refuted 10" ]) ]
+
+(* --- golden checkpoint bytes ---------------------------------------------- *)
+
+(* the on-disk checkpoint format is a compatibility surface: files already
+   written stay resumable only while a tripped search at jobs 1 writes
+   exactly these bytes (at higher job counts the set of completed branches
+   and memo entries depends on scheduling) *)
+let test_golden_bytes () =
+  with_global_jobs 1 (fun () ->
+      let md5_size path =
+        let ic = open_in_bin path in
+        let len = in_channel_length ic in
+        close_in ic;
+        (Digest.to_hex (Digest.file path), len)
+      in
+      let cnf =
+        Search.minimal_cnf_size
+          ~guard:(Guard.create ~budget:8_000 ())
+          ~max_nonterminals:2 ~max_size:8 ~checkpoint:(fresh_dir ())
+          Alphabet.binary (Ln.language 2)
+      in
+      (match cnf.Search.checkpoint_written with
+       | Some path ->
+         Alcotest.(check (pair string int)) "CNF search checkpoint bytes"
+           ("457f9a27608cde7d89eec35b6390ba37", 13_986) (md5_size path)
+       | None -> Alcotest.fail "setup: expected a guard trip with a checkpoint");
+      let cover =
+        Cover_search.minimum_run ~budget:400 ~checkpoint:(fresh_dir ()) ~n:2
+          (List.of_seq (Ln.codes 2))
+      in
+      match cover.Cover_search.checkpoint_written with
+      | Some path ->
+        Alcotest.(check (pair string int)) "cover search checkpoint bytes"
+          ("facbf3c1ba001f97582315bff6f86257", 594) (md5_size path)
+      | None -> Alcotest.fail "setup: expected an exhausted budget with a checkpoint")
 
 (* --- cover search ------------------------------------------------------ *)
 
@@ -322,6 +578,14 @@ let () =
           Alcotest.test_case "version bump" `Quick test_version_bump;
           Alcotest.test_case "parameter mismatch" `Quick test_params_mismatch;
           Alcotest.test_case "absent checkpoint" `Quick test_absent_checkpoint;
+          Alcotest.test_case "golden checkpoint bytes" `Quick test_golden_bytes;
+        ] );
+      ( "fuzz",
+        [
+          Alcotest.test_case "mutated payloads resume or warn" `Quick
+            test_fuzz_payload;
+          Alcotest.test_case "impossible payloads degrade" `Quick
+            test_impossible_payloads;
         ] );
       ( "cover",
         [
